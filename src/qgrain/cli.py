@@ -324,6 +324,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: input too large for available memory: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -105,6 +105,13 @@ class Scenario:
     R_override: Optional[Decimal] = None
 
     def __post_init__(self):
+        for name in ("M", "b", "R_override"):
+            value = getattr(self, name)
+            # Decimal and float carry inf/nan; Fraction and int are always finite.
+            if (isinstance(value, Decimal) and not value.is_finite()) or (
+                isinstance(value, float) and not math.isfinite(value)
+            ):
+                raise ValueError(f"scenario {name} must be finite, got {value}")
         if self.M <= 0 or self.b <= 0:
             raise ValueError("mass and separation must be positive")
         if self.qubit_multiplier < 1:

@@ -158,39 +158,48 @@ def _quantise_level(
 
 
 def _level_codeword(lengths: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    # Concatenated per-segment codewords cyc(iota(l, m), l//2 + n); O(total).
-    total = int(lengths.sum())
-    starts = np.concatenate(([0], np.cumsum(lengths)))[:-1]
-    local = np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
-    len_r = np.repeat(lengths, lengths)
-    offset = (len_r // 2 + np.repeat(n, lengths)) % len_r
-    plus = ((local + offset) % len_r) < np.repeat(m, lengths)
-    return np.where(plus, 1, -1).astype(np.int8)
+    # Concatenated per-segment codewords cyc(iota(l, m), l//2 + n), built from
+    # runs.  A segment's +1 block starts at a = -(l//2 + n) mod l and wraps
+    # past the segment end iff a + m > l, so every segment is three runs:
+    #   no wrap: -1 x a,          +1 x m,     -1 x (l - a - m)
+    #   wrap:    +1 x (a + m - l), -1 x (l - m), +1 x (l - a)
+    # One np.repeat expands the (segments, 3) run table into the level.
+    a = -(lengths // 2 + n) % np.maximum(lengths, 1)
+    wrap = a + m > lengths
+    first = np.where(wrap, a + m - lengths, a)
+    middle = np.where(wrap, lengths - m, m)
+    sign = np.where(wrap, 1, -1).astype(np.int8)
+    signs = np.column_stack((sign, -sign, sign))
+    runs = np.column_stack((first, middle, lengths - first - middle))
+    return np.repeat(signs.ravel(), runs.ravel())
 
 
 def _decode_level(values: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Per-segment inversion of _level_codeword; raises on non-codewords.
-    starts = np.concatenate(([0], np.cumsum(lengths)))[:-1]
-    ends = starts + lengths
-    plus = values == 1
-    plus_cum = np.concatenate(([0], np.cumsum(plus)))
-    m = (plus_cum[ends] - plus_cum[starts]).astype(np.int64)
+    # An internal transition is a sign change between two bits of the same
+    # segment.  The segment's cyclic transitions are its internal ones plus
+    # one if its first and last bits differ; that count is even, and the +1s
+    # form one cyclic block iff it is at most 2.  So a segment is a codeword
+    # iff it has at most 2 internal transitions.  The block start, which
+    # fixes n, is the segment's one internal -1 -> +1 edge, or the segment
+    # start when there is none.
+    starts = np.cumsum(lengths) - lengths
+    live = np.flatnonzero(lengths)
+    m = np.zeros_like(lengths)
+    m[live] = np.add.reduceat(values == 1, starts[live], dtype=np.int64)
 
-    local = np.arange(values.size, dtype=np.int64) - np.repeat(starts, lengths)
-    len_r = np.repeat(lengths, lengths)
-    prev = np.repeat(starts, lengths) + (local - 1) % len_r
-    is_start = plus & ~plus[prev]
-    start_cum = np.concatenate(([0], np.cumsum(is_start)))
-    counts = start_cum[ends] - start_cum[starts]
-    if not np.array_equal(counts, ((m > 0) & (m < lengths)).astype(counts.dtype)):
+    edges = np.flatnonzero(values[1:] != values[:-1]) + 1
+    seg = live[np.searchsorted(starts[live], edges, side="right") - 1]
+    internal = edges != starts[seg]
+    edges, seg = edges[internal], seg[internal]
+    if np.any(np.bincount(seg, minlength=lengths.size) > 2):
         raise NotCodewordError("segment is not a cyclic shift of a contiguous +1 block")
 
-    n = np.zeros_like(m)
-    idx = np.flatnonzero(is_start)
-    seg = np.searchsorted(starts, idx, side="right") - 1
-    seg_len = lengths[seg]
-    offset = (-(idx - starts[seg])) % seg_len
-    n[seg] = (offset - seg_len // 2) % seg_len
+    block = starts.copy()
+    rising = values[edges] == 1
+    block[seg[rising]] = edges[rising]
+    mixed = (m > 0) & (m < lengths)
+    n = np.where(mixed, (starts - block - lengths // 2) % np.maximum(lengths, 1), 0)
     return m, n
 
 
@@ -243,25 +252,15 @@ def decode_nested(strings: Sequence[BitString]) -> NestedState:
     return NestedState(N, L, m, n, lengths)
 
 
-def amplitudes(state: NestedState) -> np.ndarray:
-    """Dense 2^N state vector of the quantised tree.
-
-    Along the path to a basis index, a + branch multiplies by
-    sqrt(m_k / l_k) and a - branch by sqrt(1 - m_k / l_k) * e^(2 pi i n_k / l_k);
-    absent branches (l_k = 0) contribute amplitude zero.
-    """
-    if state.depth > _MAX_DENSE_DEPTH:
+def _expand(depth: int, level_factors) -> np.ndarray:
+    # Dense 2^depth vector of a product-form tree.  level_factors(d) gives the
+    # depth-d (cos_half, sin_half, phase) arrays: the + child of a branch
+    # multiplies by cos_half and the - child by sin_half * phase.
+    if depth > _MAX_DENSE_DEPTH:
         raise ValueError(f"dense amplitudes limited to depth {_MAX_DENSE_DEPTH}")
     vec = np.ones(1, dtype=np.complex128)
-    for d in range(1, state.depth + 1):
-        sl = state.level_slice(d)
-        lengths = state.lengths[sl]
-        live = lengths > 0
-        safe = np.maximum(lengths, 1)
-        weight = np.where(live, state.m[sl] / safe, 0.0)
-        cos_half = np.sqrt(weight)
-        sin_half = np.sqrt(np.where(live, 1.0 - weight, 0.0))
-        phase = np.exp(2j * np.pi * np.where(live, state.n[sl] / safe, 0.0))
+    for d in range(1, depth + 1):
+        cos_half, sin_half, phase = level_factors(d)
         nxt = np.empty(2 * vec.size, dtype=np.complex128)
         nxt[0::2] = vec * cos_half
         nxt[1::2] = vec * sin_half * phase
@@ -269,20 +268,36 @@ def amplitudes(state: NestedState) -> np.ndarray:
     return vec
 
 
+def amplitudes(state: NestedState) -> np.ndarray:
+    """Dense 2^N state vector of the quantised tree.
+
+    Along the path to a basis index, a + branch multiplies by
+    sqrt(m_k / l_k) and a - branch by sqrt(1 - m_k / l_k) * e^(2 pi i n_k / l_k);
+    absent branches (l_k = 0) contribute amplitude zero.
+    """
+
+    def level_factors(d: int):
+        sl = state.level_slice(d)
+        lengths = state.lengths[sl]
+        live = lengths > 0
+        safe = np.maximum(lengths, 1)
+        weight = np.where(live, state.m[sl] / safe, 0.0)
+        sin_half = np.sqrt(np.where(live, 1.0 - weight, 0.0))
+        phase = np.exp(2j * np.pi * np.where(live, state.n[sl] / safe, 0.0))
+        return np.sqrt(weight), sin_half, phase
+
+    return _expand(state.depth, level_factors)
+
+
 def amplitudes_of_tree(tree: AngleTree) -> np.ndarray:
     """Dense 2^N state vector of the continuum tree (the exact reference)."""
-    if tree.depth > _MAX_DENSE_DEPTH:
-        raise ValueError(f"dense amplitudes limited to depth {_MAX_DENSE_DEPTH}")
-    vec = np.ones(1, dtype=np.complex128)
-    for d in range(1, tree.depth + 1):
+
+    def level_factors(d: int):
         lo, hi = 1 << (d - 1), 1 << d
         half = tree.thetas[lo:hi] / 2.0
-        phase = np.exp(1j * tree.phis[lo:hi])
-        nxt = np.empty(2 * vec.size, dtype=np.complex128)
-        nxt[0::2] = vec * np.cos(half)
-        nxt[1::2] = vec * np.sin(half) * phase
-        vec = nxt
-    return vec
+        return np.cos(half), np.sin(half), np.exp(1j * tree.phis[lo:hi])
+
+    return _expand(tree.depth, level_factors)
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:

@@ -28,6 +28,17 @@ def test_encode_odd_length_exits_2(capsys):
     assert "error:" in err
 
 
+def test_encode_unallocatable_length_exits_2(capsys):
+    # 2^62 bits cannot be allocated, so the array allocation fails at once.
+    code, out, err = run_cli(
+        capsys, "encode", "--m", "1", "--n", "0", "--L", "4611686018427387904"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_decode_round_trip(capsys):
     code, out, _ = run_cli(capsys, "decode", "--bits", "--++")
     assert code == 0
@@ -95,6 +106,22 @@ def test_capacity_invalid_argument_exits_2(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run_cli(capsys, "capacity", "--mass", "bogus", "--sep", "5e-9")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "extra,field",
+    [
+        (["--mass", "Infinity", "--sep", "5e-9"], "M"),
+        (["--mass", "NaN", "--sep", "5e-9"], "M"),
+        (["--mass", "1e-30", "--sep=-Infinity"], "b"),
+        (["--mass", "1e-30", "--sep", "5e-9", "--radius", "Infinity"], "R_override"),
+    ],
+)
+def test_capacity_non_finite_input_exits_2(capsys, extra, field):
+    code, out, err = run_cli(capsys, "capacity", *extra)
+    assert code == 2
+    assert out == ""
+    assert f"error: scenario {field} must be finite" in err
 
 
 def test_capacity_constants_file(capsys, tmp_path):

@@ -217,6 +217,12 @@ def test_constants_validation():
         Scenario(M=Decimal(0), b=Decimal(1))
     with pytest.raises(ValueError):
         Scenario(M=Decimal(1), b=Decimal(1), qubit_multiplier=0)
+    with pytest.raises(ValueError, match="R_override must be finite"):
+        Scenario(M=Decimal(1), b=Decimal(1), R_override=Decimal("NaN"))
+    with pytest.raises(ValueError, match="b must be finite"):
+        Scenario(M=Fraction(1), b=float("inf"))
+    # a finite Decimal beyond float range is accepted
+    assert Scenario(M=Decimal("1e400000"), b=Decimal(1)).M == Decimal("1e400000")
 
 
 def test_constants_file_and_env(tmp_path, monkeypatch):

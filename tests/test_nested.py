@@ -1,12 +1,24 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgrain.bitstring import BitString, NotCodewordError, encode, to_text
+from qgrain.bitstring import (
+    BitString,
+    NotCodewordError,
+    cyc,
+    decode,
+    encode,
+    from_text,
+    iota,
+    to_text,
+)
 from qgrain.nested import (
     AngleTree,
+    _decode_level,
+    _level_codeword,
     amplitudes,
     amplitudes_of_tree,
     capacity_deficient,
@@ -128,6 +140,126 @@ def test_decode_nested_rejects_corrupt_segment():
     bad[:4] = [1, -1, 1, -1]  # not a cyclic block in the first segment
     with pytest.raises(NotCodewordError):
         decode_nested([strings[0], BitString(bad)])
+
+
+# Levels of the nested codec: (l, m, n) per segment, absent (l = 0),
+# classical (l = 1) and odd-length segments included.
+segments = st.integers(0, 12).flatmap(
+    lambda l: st.tuples(st.just(l), st.integers(0, l), st.integers(0, max(l - 1, 0)))
+)
+levels = st.lists(segments, min_size=1, max_size=8).filter(
+    lambda segs: sum(l for l, _, _ in segs) > 0
+)
+
+
+def level_arrays(segs):
+    return tuple(np.array(col, dtype=np.int64) for col in zip(*segs))
+
+
+def assert_decode_matches_single_segment_codec(values, lengths):
+    # Oracle: bitstring.decode on each segment on its own.
+    expected_m, expected_n = [], []
+    failed = False
+    for start, length in zip(np.cumsum(lengths) - lengths, lengths):
+        piece = values[start : start + length]
+        if piece.size == 0:
+            expected_m.append(0)
+            expected_n.append(0)
+            continue
+        try:
+            q = decode(BitString(piece)).qubit
+        except NotCodewordError:
+            failed = True
+            break
+        expected_m.append(q.m)
+        expected_n.append(q.n)
+    if failed:
+        with pytest.raises(NotCodewordError):
+            _decode_level(values, lengths)
+        return
+    m, n = _decode_level(values, lengths)
+    assert m.tolist() == expected_m
+    assert n.tolist() == expected_n
+
+
+@given(levels)
+@settings(max_examples=200)
+def test_level_codeword_matches_single_segment_codec(segs):
+    lengths, m, n = level_arrays(segs)
+    expected = [cyc(iota(l, mm), l // 2 + nn).values for l, mm, nn in segs if l > 0]
+    got = _level_codeword(lengths, m, n)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, np.concatenate(expected))
+    assert_decode_matches_single_segment_codec(got, lengths)
+
+
+@given(levels, st.data())
+@settings(max_examples=200)
+def test_decode_level_matches_single_segment_codec(segs, data):
+    lengths, m, n = level_arrays(segs)
+    total = int(lengths.sum())
+    if data.draw(st.booleans(), label="arbitrary"):
+        values = np.array(
+            data.draw(st.lists(st.sampled_from([1, -1]), min_size=total, max_size=total)),
+            dtype=np.int8,
+        )
+    else:
+        values = _level_codeword(lengths, m, n).copy()
+        flips = data.draw(st.lists(st.integers(0, total - 1), max_size=3))
+        values[flips] *= -1
+    assert_decode_matches_single_segment_codec(values, lengths)
+
+
+@pytest.mark.parametrize(
+    "text,lengths",
+    [
+        ("+-+-++", [4, 0, 2]),  # non-block segment next to an absent one
+        ("++--+-+-", [0, 4, 4]),
+        ("--++--++", [4, 4]),  # shared boundary is a +1 -> -1 transition
+        ("++----++", [4, 4]),  # shared boundary is a -1 -> +1 transition
+        ("+-+--+", [2, 0, 1, 0, 3]),
+        ("+-+", [1, 1, 1]),  # classical bits: transitions only at boundaries
+    ],
+)
+def test_decode_level_explicit_boundaries(text, lengths):
+    values = from_text(text).values
+    assert_decode_matches_single_segment_codec(values, np.array(lengths, dtype=np.int64))
+
+
+def _codec_digests(L, depth):
+    tree = random_angle_tree(depth, np.random.default_rng(0))
+    strings, _ = encode_nested(tree, L)
+    state = decode_nested(strings)
+    bits = hashlib.sha256()
+    for s in strings:
+        bits.update(s.values.tobytes())
+    ints = hashlib.sha256()
+    for arr in (state.m, state.n, state.lengths):
+        ints.update(arr.astype("<i8").tobytes())
+    return bits.hexdigest(), ints.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "L,depth,strings_sha256,state_sha256",
+    [
+        (
+            4096,
+            14,
+            "5644a2716c320d5d699372562a114b497194225458a33e41283bbcab158fedf0",
+            "b89433eb62d1e456318006d1283429445fc818f175b5702183ec4a37348d344d",
+        ),
+        (
+            1 << 20,
+            4,
+            "85ac852ae20a6c6e7a7a929f37206af617b535c054619e4b79fe3315b921a1e4",
+            "b1e2b2c9c6c22e1a923a779a2ead353883ef4c6225e2a47f8e83399796ea6205",
+        ),
+    ],
+)
+def test_nested_codec_golden_digests(L, depth, strings_sha256, state_sha256):
+    # Seed-0 trees at the two saturate benchmark shapes.  Only integers are
+    # hashed: fidelities depend on the BLAS summation order.
+    assert _codec_digests(L, depth) == (strings_sha256, state_sha256)
 
 
 def test_conditional_born_exactness_and_bit_budget():
