@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Subcommands: capacity, encode, decode, pauli-verify, saturate, niven,
-uncertainty, reduce.  Output is a pure function of the arguments, seed,
-precision and constants file; --format selects text, json (single document
-with a schema_version field) or csv (saturate only).  Exit codes: 0 success,
-1 verified-property failure, 2 usage or precondition error.
+uncertainty, reduce.  Each ``cmd_*(args, cfg)`` prints nothing and returns
+``(ok, doc, text_lines)``; ``main`` is the only writer.  It builds the
+RunConfig, rejects csv outside saturate, and prints ``doc`` with a
+schema_version field (--format json) or the text lines (text, or csv for
+saturate).  Output is a pure function of the arguments, seed, precision and
+constants file.  Exit codes: 0 success, 1 verified-property failure (``ok``
+false), 2 usage or precondition error.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from . import bitstring, gravity, nested, signed_perm
-from .qubit import DiscretisedQubit, coarsen, niven_admissible
+from .qubit import DiscretisedQubit, Direction, coarsen, niven_admissible, uncertainty_check
 
 SCHEMA_VERSION = 1
 
@@ -29,43 +32,20 @@ SCHEMA_VERSION = 1
 class RunConfig:
     fmt: str
     seed: int
-    precision: int
     constants: gravity.PhysicalConstants
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    precision = args.precision
-    if args.constants:
-        constants = gravity.PhysicalConstants.from_file(args.constants, precision=precision)
-    else:
-        constants = gravity.constants_from_env(precision=precision)
-    return RunConfig(fmt=args.format, seed=args.seed, precision=precision, constants=constants)
-
-
-def _emit(cfg: RunConfig, doc: dict, text_lines: list[str]) -> None:
-    if cfg.fmt == "json":
-        print(json.dumps({"schema_version": SCHEMA_VERSION, **doc}))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _require_text_or_json(cfg: RunConfig, command: str) -> None:
-    if cfg.fmt == "csv":
-        raise ValueError(f"csv format is only available for saturate, not {command}")
+Result = tuple[bool, dict, list[str]]
 
 
 def _decimal(text: str, what: str) -> Decimal:
     try:
-        value = Decimal(text)
+        return Decimal(text)
     except InvalidOperation:
         raise ValueError(f"{what} must be a decimal number, got {text!r}")
-    return value
 
 
-def cmd_capacity(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    _require_text_or_json(cfg, "capacity")
+def cmd_capacity(args: argparse.Namespace, cfg: RunConfig) -> Result:
     scenario = gravity.Scenario(
         M=_decimal(args.mass, "--mass"),
         b=_decimal(args.sep, "--sep"),
@@ -91,13 +71,10 @@ def cmd_capacity(args: argparse.Namespace) -> int:
         f"log2 L  = {report.log2_L:.6f}",
         f"n_max   = {report.n_max}",
     ]
-    _emit(cfg, doc, text)
-    return 0
+    return True, doc, text
 
 
-def cmd_encode(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    _require_text_or_json(cfg, "encode")
+def cmd_encode(args: argparse.Namespace, cfg: RunConfig) -> Result:
     q = DiscretisedQubit(args.m, args.n, args.L)
     s = bitstring.encode(q)
     doc = {
@@ -107,13 +84,10 @@ def cmd_encode(args: argparse.Namespace) -> int:
         "L": q.L,
         "bits": bitstring.to_text(s),
     }
-    _emit(cfg, doc, [bitstring.to_text(s)])
-    return 0
+    return True, doc, [doc["bits"]]
 
 
-def cmd_decode(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    _require_text_or_json(cfg, "decode")
+def cmd_decode(args: argparse.Namespace, cfg: RunConfig) -> Result:
     decoded = bitstring.decode(bitstring.from_text(args.bits))
     q = decoded.qubit
     doc = {
@@ -126,13 +100,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
     text = f"m={q.m} n={q.n} L={q.L}"
     if decoded.degenerate:
         text += " (degenerate: phase unobservable)"
-    _emit(cfg, doc, [text])
-    return 0
+    return True, doc, [text]
 
 
-def cmd_pauli_verify(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    _require_text_or_json(cfg, "pauli-verify")
+def cmd_pauli_verify(args: argparse.Namespace, cfg: RunConfig) -> Result:
     L = args.L
     quaternion = signed_perm.verify_quaternion(L)
     spin = signed_perm.verify_spin_identities(L)
@@ -147,8 +118,7 @@ def cmd_pauli_verify(args: argparse.Namespace) -> int:
         "self-similar split:    "
         + ("skipped (needs 8 | L)" if split is None else ("pass" if split else "FAIL")),
     ]
-    _emit(cfg, doc, text)
-    return 0 if all_pass else 1
+    return all_pass, doc, text
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -159,54 +129,41 @@ def _parse_range(text: str) -> tuple[int, int]:
     return single, single
 
 
-def cmd_saturate(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+def cmd_saturate(args: argparse.Namespace, cfg: RunConfig) -> Result:
     n_lo, n_hi = _parse_range(args.n)
     rows = nested.saturation_experiment(args.L, n_lo, n_hi, args.samples, cfg.seed)
-    if cfg.fmt == "json":
-        doc = {
-            "command": "saturate",
-            "L": args.L,
-            "samples": args.samples,
-            "seed": cfg.seed,
-            "rows": [row._asdict() for row in rows],
-        }
-        print(json.dumps({"schema_version": SCHEMA_VERSION, **doc}))
-    else:
-        print("N,median_fidelity,p10_fidelity,min_segment_len")
-        for row in rows:
-            print(
-                f"{row.N},{row.median_fidelity!r},{row.p10_fidelity!r},{row.min_segment_len}"
-            )
-    return 0
+    doc = {
+        "command": "saturate",
+        "L": args.L,
+        "samples": args.samples,
+        "seed": cfg.seed,
+        "rows": [row._asdict() for row in rows],
+    }
+    csv = ["N,median_fidelity,p10_fidelity,min_segment_len"] + [
+        f"{row.N},{row.median_fidelity!r},{row.p10_fidelity!r},{row.min_segment_len}"
+        for row in rows
+    ]
+    return True, doc, csv
 
 
-def cmd_niven(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    _require_text_or_json(cfg, "niven")
+def cmd_niven(args: argparse.Namespace, cfg: RunConfig) -> Result:
     try:
         c = Fraction(args.cos)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--cos must be a rational like 1/2, got {args.cos!r}")
     admissible = niven_admissible(c)
     doc = {"command": "niven", "cos": str(c), "admissible": admissible}
-    _emit(cfg, doc, ["admissible" if admissible else "not admissible"])
-    return 0
+    return True, doc, ["admissible" if admissible else "not admissible"]
 
 
-def cmd_uncertainty(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    _require_text_or_json(cfg, "uncertainty")
+def cmd_uncertainty(args: argparse.Namespace, cfg: RunConfig) -> Result:
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
     rng = np.random.default_rng(cfg.seed & ((1 << 64) - 1))
     vecs = rng.normal(size=(args.samples, 3))
     vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-    lhs = np.sqrt(np.maximum(0.0, 1.0 - vecs[:, 0] ** 2)) * np.sqrt(
-        np.maximum(0.0, 1.0 - vecs[:, 1] ** 2)
-    )
-    rhs = np.abs(vecs[:, 2])
-    satisfied = int(np.count_nonzero(lhs >= rhs - 1e-12))
+    lhs, rhs, ok = uncertainty_check(Direction(*vecs.T))
+    satisfied = int(np.count_nonzero(ok))
     worst = float(np.min(lhs - rhs))
     all_ok = satisfied == args.samples
     doc = {
@@ -217,17 +174,13 @@ def cmd_uncertainty(args: argparse.Namespace) -> int:
         "all_ok": all_ok,
         "min_margin": worst,
     }
-    _emit(cfg, doc, [f"{satisfied}/{args.samples} satisfied"])
-    return 0 if all_ok else 1
+    return all_ok, doc, [f"{satisfied}/{args.samples} satisfied"]
 
 
-def cmd_reduce(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    _require_text_or_json(cfg, "reduce")
+def cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> Result:
     q = coarsen(DiscretisedQubit(args.m, args.n, args.L), args.to)
     doc = {"command": "reduce", "m": q.m, "n": q.n, "L": q.L}
-    _emit(cfg, doc, [f"m={q.m} n={q.n} L={q.L}"])
-    return 0
+    return True, doc, [f"m={q.m} n={q.n} L={q.L}"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -320,7 +273,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        if args.constants:
+            constants = gravity.PhysicalConstants.from_file(args.constants, args.precision)
+        else:
+            constants = gravity.constants_from_env(precision=args.precision)
+        cfg = RunConfig(args.format, args.seed, constants)
+        if cfg.fmt == "csv" and args.command != "saturate":
+            raise ValueError(f"csv format is only available for saturate, not {args.command}")
+        ok, doc, text_lines = args.func(args, cfg)
+        if cfg.fmt == "json":
+            print(json.dumps({"schema_version": SCHEMA_VERSION, **doc}))
+        else:
+            for line in text_lines:
+                print(line)
+        return 0 if ok else 1
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -235,7 +235,7 @@ class CapacityReport:
             "E_G": str(self.E_G),
             "tau_DP": str(self.tau_DP),
             "tau_M": str(self.tau_M),
-            "L": str(self.L),
+            "L": str(Decimal(self.L)),
             "log10_L": self.log10_L,
             "log2_L": self.log2_L,
             "n_max": self.n_max,

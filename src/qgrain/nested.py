@@ -45,15 +45,21 @@ def n_max(L: int) -> int:
     """Largest N >= 1 with 2^(N+1) - 2 <= L*N, or 0 if none.
 
     The paper's N_max, the first N that is capacity-deficient, is
-    n_max(L) + 1.  The feasible set is the interval 1..n_max, so an incremental scan is
-    exact; arbitrarily large L is fine (everything is big-int arithmetic).
+    n_max(L) + 1.  (2^(N+1) - 2)/N increases with N, so the feasible N form
+    the interval 1..n_max, found by bisection below b + bit_length(b) + 1 (always
+    deficient), b = bit_length(L).  Everything is exact big-int arithmetic.
     """
     if L < 1:
         raise ValueError(f"granularity L must be >= 1, got {L}")
-    N = 0
-    while not capacity_deficient(N + 1, L):
-        N += 1
-    return N
+    b = L.bit_length()
+    lo, hi = 0, b + b.bit_length() + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if capacity_deficient(mid, L):
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 @dataclass(frozen=True)
@@ -203,53 +209,50 @@ def _decode_level(values: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, 
     return m, n
 
 
-def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState]:
-    """Quantise a depth-N tree at granularity L and emit its N strings."""
-    if L < 2 or L % 2:
-        raise ValueError(f"encoding requires even granularity >= 2, got L={L}")
-    N = tree.depth
-    size = 1 << N
+def _walk_levels(depth: int, L: int, level_mn) -> NestedState:
+    # NestedState heap arrays, root down, with its segment length rule;
+    # level_mn(d, lengths) gives the depth-d (m, n) for the depth-d lengths.
+    size = 1 << depth
     m = np.zeros(size, dtype=np.int64)
     n = np.zeros(size, dtype=np.int64)
     lengths = np.zeros(size, dtype=np.int64)
     lengths[1] = L
-    strings = []
-    for d in range(1, N + 1):
+    for d in range(1, depth + 1):
         lo, hi = 1 << (d - 1), 1 << d
         level_len = lengths[lo:hi]
-        md, nd = _quantise_level(level_len, tree.thetas[lo:hi], tree.phis[lo:hi])
-        m[lo:hi] = md
-        n[lo:hi] = nd
-        if d < N:
-            lengths[2 * lo : 2 * hi : 2] = md
-            lengths[2 * lo + 1 : 2 * hi : 2] = level_len - md
-        strings.append(BitString(_level_codeword(level_len, md, nd)))
-    return strings, NestedState(N, L, m, n, lengths)
+        m[lo:hi], n[lo:hi] = level_mn(d, level_len)
+        if d < depth:
+            lengths[2 * lo : 2 * hi : 2] = m[lo:hi]
+            lengths[2 * lo + 1 : 2 * hi : 2] = level_len - m[lo:hi]
+    return NestedState(depth, L, m, n, lengths)
+
+
+def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState]:
+    """Quantise a depth-N tree at granularity L and emit its N strings."""
+    if L < 2 or L % 2:
+        raise ValueError(f"encoding requires even granularity >= 2, got L={L}")
+    strings = []
+
+    def level_mn(d: int, lengths: np.ndarray):
+        lo, hi = 1 << (d - 1), 1 << d
+        m, n = _quantise_level(lengths, tree.thetas[lo:hi], tree.phis[lo:hi])
+        strings.append(BitString(_level_codeword(lengths, m, n)))
+        return m, n
+
+    state = _walk_levels(tree.depth, L, level_mn)
+    return strings, state
 
 
 def decode_nested(strings: Sequence[BitString]) -> NestedState:
     """Invert ``encode_nested``: recover every (m_k, n_k, l_k) by conditional counting."""
     if not strings:
         raise ValueError("need at least one string")
-    N = len(strings)
     L = len(strings[0])
     if any(len(s) != L for s in strings):
         raise ValueError("all strings must share one length")
-    size = 1 << N
-    m = np.zeros(size, dtype=np.int64)
-    n = np.zeros(size, dtype=np.int64)
-    lengths = np.zeros(size, dtype=np.int64)
-    lengths[1] = L
-    for d in range(1, N + 1):
-        lo, hi = 1 << (d - 1), 1 << d
-        level_len = lengths[lo:hi]
-        md, nd = _decode_level(strings[d - 1].values, level_len)
-        m[lo:hi] = md
-        n[lo:hi] = nd
-        if d < N:
-            lengths[2 * lo : 2 * hi : 2] = md
-            lengths[2 * lo + 1 : 2 * hi : 2] = level_len - md
-    return NestedState(N, L, m, n, lengths)
+    return _walk_levels(
+        len(strings), L, lambda d, lengths: _decode_level(strings[d - 1].values, lengths)
+    )
 
 
 def _expand(depth: int, level_factors) -> np.ndarray:

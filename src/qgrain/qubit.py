@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 #: Rational cosines whose angle is also a rational multiple of pi.  By
@@ -137,7 +139,7 @@ class Direction:
 
     def __post_init__(self):
         norm = self.cx**2 + self.cy**2 + self.cz**2
-        if abs(norm - 1.0) > 1e-12:
+        if np.any(np.abs(norm - 1.0) > 1e-12):
             raise ValueError(f"direction cosines must be unit norm, got |.|^2 = {norm!r}")
 
 
@@ -153,11 +155,12 @@ def uncertainty_check(d: Direction) -> UncertaintyResult:
     With mu = cz the mean along z and sigma' = sqrt(1 - cx^2),
     sigma'' = sqrt(1 - cy^2) the standard deviations along x and y, the
     product inequality is a theorem of spherical trigonometry; equality holds
-    on the coordinate great circles.
+    on the coordinate great circles.  Direction fields may be equal-shape
+    arrays; the result is then elementwise.
     """
     mu = d.cz
-    sigma_x = math.sqrt(max(0.0, 1.0 - d.cx**2))
-    sigma_y = math.sqrt(max(0.0, 1.0 - d.cy**2))
+    sigma_x = np.sqrt(np.maximum(0.0, 1.0 - d.cx**2))
+    sigma_y = np.sqrt(np.maximum(0.0, 1.0 - d.cy**2))
     lhs = sigma_x * sigma_y
-    rhs = abs(mu)
+    rhs = np.abs(mu)
     return UncertaintyResult(lhs, rhs, lhs >= rhs - 1e-12)

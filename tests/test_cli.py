@@ -1,13 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 import time
+from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgrain import cli
-from qgrain import signed_perm
+from qgrain import gravity, signed_perm
 
 
 def run_cli(capsys, *argv):
@@ -122,6 +126,20 @@ def test_capacity_non_finite_input_exits_2(capsys, extra, field):
     assert code == 2
     assert out == ""
     assert f"error: scenario {field} must be finite" in err
+
+
+@pytest.mark.parametrize("mass", ["1e-500", "1e-3000"])
+def test_capacity_with_l_beyond_int_string_limit(capsys, mass):
+    # L has more decimal digits than int -> str conversion allows (4300).
+    code, out, err = run_cli(capsys, "capacity", "--mass", mass, "--sep", "5e-9")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1].startswith("n_max   = ")
+    code, out, err = run_cli(
+        capsys, "capacity", "--mass", mass, "--sep", "5e-9", "--format", "json"
+    )
+    assert code == 0 and err == ""
+    report = gravity.scenario_report(gravity.Scenario(M=Decimal(mass), b=Decimal("5e-9")))
+    assert Decimal(json.loads(out)["L"]) == report.L
 
 
 def test_capacity_constants_file(capsys, tmp_path):
@@ -274,3 +292,48 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "admissible"
+
+
+_FLAGS = {
+    "capacity": ["--mass", "--sep", "--qubits", "--radius"],
+    "encode": ["--m", "--n", "--L"],
+    "decode": ["--bits"],
+    "pauli-verify": ["--L"],
+    "saturate": ["--L", "--n", "--samples"],
+    "niven": ["--cos"],
+    "uncertainty": ["--samples"],
+    "reduce": ["--m", "--n", "--L", "--to"],
+    "frobnicate": ["--L"],
+}
+_COMMON_FLAGS = ["--format", "--seed", "--precision", "--constants"]
+_VALUES = st.one_of(
+    st.sampled_from(["0", "1", "2", "3", "4", "8", "-1", "-2", str(1 << 62)]),
+    st.sampled_from(
+        ["nan", "Infinity", "1e-500", "1/2", "1..3", "3..1", "..", "1..", "..2", "1...3",
+         "a..b", "1..25", "--++", "+-+-", "+", "", ":", "4:--++", "3:--++", "+-:", "-:+"]
+    ),
+)
+_FORMATS = st.sampled_from(["text", "json", "csv", "xml"])
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag in _FLAGS[command] + _COMMON_FLAGS:
+        # Command flags are usually present so the commands run; common ones rarely.
+        if draw(st.integers(0, 9)) < (8 if flag in _FLAGS[command] else 1):
+            argv += [flag, draw(_FORMATS if flag == "--format" else _VALUES)]
+    return argv
+
+
+@settings(max_examples=200)
+@given(_argv())
+def test_generated_argv_keeps_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1

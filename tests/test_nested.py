@@ -67,6 +67,21 @@ def test_n_max_certificates_at_large_granularity(L, expected):
     assert k <= expected <= k + math.ceil(math.log2(expected)) + 1
 
 
+def _is_capacity_bound(L, n):
+    return (1 << (n + 1)) - 2 <= L * n and (1 << (n + 2)) - 2 > L * (n + 1)
+
+
+@given(st.integers(min_value=1, max_value=1 << 4096))
+def test_n_max_is_the_capacity_bound(L):
+    assert _is_capacity_bound(L, n_max(L))
+
+
+def test_n_max_certificate_at_megabit_granularity():
+    # A scan over N would need ~2^20 steps of megabit arithmetic here.
+    L = (1 << (1 << 20)) - 12345
+    assert _is_capacity_bound(L, n_max(L))
+
+
 def tree_from(depth, pairs):
     return AngleTree.from_nodes(depth, pairs)
 

@@ -226,6 +226,20 @@ def test_uncertainty_holds_on_sphere_sample():
     assert np.all(np.abs((vecs**2).sum(axis=1) - 1.0) <= 1e-12)
 
 
+def test_uncertainty_check_accepts_arrays():
+    rng = np.random.default_rng(5)
+    vecs = rng.normal(size=(500, 3))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    lhs, rhs, ok = uncertainty_check(Direction(*vecs.T))
+    assert lhs.shape == rhs.shape == ok.shape == (500,)
+    assert ok.all()
+    for i, (cx, cy, cz) in enumerate(vecs[:50]):
+        assert (lhs[i], rhs[i], ok[i]) == tuple(uncertainty_check(Direction(cx, cy, cz)))
+    vecs[7] *= 2.0
+    with pytest.raises(ValueError):
+        Direction(*vecs.T)
+
+
 def test_direction_norm_validation():
     with pytest.raises(ValueError):
         Direction(1.0, 1.0, 1.0)
