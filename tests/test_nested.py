@@ -53,22 +53,21 @@ def test_n_max_examples():
     assert n_max(2) == 1
 
 
+def _is_capacity_bound(L, n):
+    # certificate: n is feasible (or 0), n + 1 is not
+    return (1 << (n + 1)) - 2 <= L * n and (1 << (n + 2)) - 2 > L * (n + 1)
+
+
 @pytest.mark.parametrize(
     "L,expected",
     [(1 << 10, 12), (1 << 20, 23), (1 << 100, 105), (1 << 640, 648)],
 )
 def test_n_max_certificates_at_large_granularity(L, expected):
-    # certificate: expected is feasible, expected + 1 is not
-    assert (1 << (expected + 1)) - 2 <= L * expected
-    assert (1 << (expected + 2)) - 2 > L * (expected + 1)
+    assert _is_capacity_bound(L, expected)
     assert n_max(L) == expected
     # the bound tracks log2 L up to the log2(N) correction
     k = L.bit_length() - 1
     assert k <= expected <= k + math.ceil(math.log2(expected)) + 1
-
-
-def _is_capacity_bound(L, n):
-    return (1 << (n + 1)) - 2 <= L * n and (1 << (n + 2)) - 2 > L * (n + 1)
 
 
 @given(st.integers(min_value=1, max_value=1 << 4096))
