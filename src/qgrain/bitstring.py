@@ -37,6 +37,15 @@ class BitString:
         arr.flags.writeable = False
         self._values = arr
 
+    @classmethod
+    def _trusted(cls, values: np.ndarray) -> "BitString":
+        # Wraps a fresh 1-D int8 array of +1/-1 entries that the caller built
+        # and hands over: no copy and no check.
+        s = object.__new__(cls)
+        values.flags.writeable = False
+        s._values = values
+        return s
+
     @property
     def values(self) -> np.ndarray:
         return self._values

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: capacity, encode, decode, pauli-verify, saturate, niven,
-uncertainty, reduce.  Each ``cmd_*(args, cfg)`` prints nothing and returns
-``(ok, doc, text_lines)``; ``main`` is the only writer.  It builds the
+uncertainty, reduce.  Each ``cmd_*(args, cfg)`` returns ``(ok, doc,
+text_lines)`` and prints nothing to stdout; ``main`` is its only writer, and
+``saturate --timings`` writes per-phase wall times to stderr.  It builds the
 RunConfig, rejects csv outside saturate, and prints ``doc`` with a
 schema_version field (--format json) or the text lines (text, or csv for
 saturate).  Output is a pure function of the arguments, seed, precision and
@@ -131,7 +132,13 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def cmd_saturate(args: argparse.Namespace, cfg: RunConfig) -> Result:
     n_lo, n_hi = _parse_range(args.n)
-    rows = nested.saturation_experiment(args.L, n_lo, n_hi, args.samples, cfg.seed)
+    timings = {} if args.timings else None
+    rows = nested.saturation_experiment(
+        args.L, n_lo, n_hi, args.samples, cfg.seed, timings=timings
+    )
+    if timings is not None:
+        for phase in nested.SATURATION_PHASES:
+            print(f"timing {phase:<10} {timings[phase]:.6f} s", file=sys.stderr)
     doc = {
         "command": "saturate",
         "L": args.L,
@@ -224,6 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--n", required=True, help="qubit range, e.g. 1..14")
     p.add_argument("--samples", type=int, required=True)
+    p.add_argument(
+        "--timings", action="store_true",
+        help="print the wall time of each phase (draw, encode, decode, amplitudes, "
+        "fidelity) to stderr",
+    )
     p.set_defaults(func=cmd_saturate)
 
     p = sub.add_parser("niven", parents=[common], help="rational-cosine admissibility")

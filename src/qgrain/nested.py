@@ -15,8 +15,9 @@ Capacity counting: the N strings hold L*N bits while the state has
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +26,8 @@ from .qubit import TWO_PI
 
 _MASK64 = (1 << 64) - 1
 _MAX_DENSE_DEPTH = 24
+_BATCH_BYTES = 1 << 18
+SATURATION_PHASES = ("draw", "encode", "decode", "amplitudes", "fidelity")
 
 
 def dof_count(N: int) -> int:
@@ -209,22 +212,27 @@ def _decode_level(values: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, 
     return m, n
 
 
-def _walk_levels(depth: int, L: int, level_mn) -> NestedState:
-    # NestedState heap arrays, root down, with its segment length rule;
-    # level_mn(d, lengths) gives the depth-d (m, n) for the depth-d lengths.
+def _walk_levels(depth: int, L: int, level_mn, trees: int = 1):
+    # (trees, 2^depth) heap arrays m, n, lengths of `trees` trees, root down,
+    # with the segment length rule l_2k = m_k, l_2k+1 = l_k - m_k.
+    # level_mn(d, lengths) gives the depth-d (m, n) for the depth-d lengths of
+    # every tree, flattened tree-major; each tree's level covers L bits, so the
+    # level kernels work on the concatenation of the trees' levels.
     size = 1 << depth
-    m = np.zeros(size, dtype=np.int64)
-    n = np.zeros(size, dtype=np.int64)
-    lengths = np.zeros(size, dtype=np.int64)
-    lengths[1] = L
+    m = np.zeros((trees, size), dtype=np.int64)
+    n = np.zeros((trees, size), dtype=np.int64)
+    lengths = np.zeros((trees, size), dtype=np.int64)
+    lengths[:, 1] = L
     for d in range(1, depth + 1):
         lo, hi = 1 << (d - 1), 1 << d
-        level_len = lengths[lo:hi]
-        m[lo:hi], n[lo:hi] = level_mn(d, level_len)
+        level_len = lengths[:, lo:hi]
+        level_m, level_n = level_mn(d, level_len.ravel())
+        m[:, lo:hi] = level_m.reshape(trees, -1)
+        n[:, lo:hi] = level_n.reshape(trees, -1)
         if d < depth:
-            lengths[2 * lo : 2 * hi : 2] = m[lo:hi]
-            lengths[2 * lo + 1 : 2 * hi : 2] = level_len - m[lo:hi]
-    return NestedState(depth, L, m, n, lengths)
+            lengths[:, 2 * lo : 2 * hi : 2] = m[:, lo:hi]
+            lengths[:, 2 * lo + 1 : 2 * hi : 2] = level_len - m[:, lo:hi]
+    return m, n, lengths
 
 
 def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState]:
@@ -236,11 +244,20 @@ def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState
     def level_mn(d: int, lengths: np.ndarray):
         lo, hi = 1 << (d - 1), 1 << d
         m, n = _quantise_level(lengths, tree.thetas[lo:hi], tree.phis[lo:hi])
-        strings.append(BitString(_level_codeword(lengths, m, n)))
+        strings.append(BitString._trusted(_level_codeword(lengths, m, n)))
         return m, n
 
-    state = _walk_levels(tree.depth, L, level_mn)
-    return strings, state
+    m, n, lengths = _walk_levels(tree.depth, L, level_mn)
+    return strings, NestedState(tree.depth, L, m[0], n[0], lengths[0])
+
+
+def _decode_trees(families: Sequence[Sequence[BitString]], L: int):
+    # Heap arrays of every family's decoded tree, one level walk for all.
+    def level_mn(d: int, lengths: np.ndarray):
+        values = np.concatenate([strings[d - 1].values for strings in families])
+        return _decode_level(values, lengths)
+
+    return _walk_levels(len(families[0]), L, level_mn, len(families))
 
 
 def decode_nested(strings: Sequence[BitString]) -> NestedState:
@@ -250,25 +267,42 @@ def decode_nested(strings: Sequence[BitString]) -> NestedState:
     L = len(strings[0])
     if any(len(s) != L for s in strings):
         raise ValueError("all strings must share one length")
-    return _walk_levels(
-        len(strings), L, lambda d, lengths: _decode_level(strings[d - 1].values, lengths)
-    )
+    m, n, lengths = _decode_trees([strings], L)
+    return NestedState(len(strings), L, m[0], n[0], lengths[0])
 
 
-def _expand(depth: int, level_factors) -> np.ndarray:
-    # Dense 2^depth vector of a product-form tree.  level_factors(d) gives the
-    # depth-d (cos_half, sin_half, phase) arrays: the + child of a branch
-    # multiplies by cos_half and the - child by sin_half * phase.
+def _expand(factors, *heaps: np.ndarray) -> np.ndarray:
+    # Dense (trees, 2^depth) vectors of product-form trees.  factors(*heaps)
+    # turns the trees' (trees, 2^depth) heap arrays into branch factors of the
+    # same shape: the + child of node k multiplies by cos_half[k] and the -
+    # child by sin_half[k] * phase[k].
+    depth = heaps[0].shape[1].bit_length() - 1
     if depth > _MAX_DENSE_DEPTH:
         raise ValueError(f"dense amplitudes limited to depth {_MAX_DENSE_DEPTH}")
-    vec = np.ones(1, dtype=np.complex128)
+    cos_half, sin_half, phase = factors(*heaps)
+    vec = np.ones((cos_half.shape[0], 1), dtype=np.complex128)
     for d in range(1, depth + 1):
-        cos_half, sin_half, phase = level_factors(d)
-        nxt = np.empty(2 * vec.size, dtype=np.complex128)
-        nxt[0::2] = vec * cos_half
-        nxt[1::2] = vec * sin_half * phase
+        lo, hi = 1 << (d - 1), 1 << d
+        nxt = np.empty((vec.shape[0], 2 * vec.shape[1]), dtype=np.complex128)
+        nxt[:, 0::2] = vec * cos_half[:, lo:hi]
+        nxt[:, 1::2] = vec * sin_half[:, lo:hi] * phase[:, lo:hi]
         vec = nxt
     return vec
+
+
+def _state_factors(m: np.ndarray, n: np.ndarray, lengths: np.ndarray):
+    # Branch factors of quantised heap arrays; absent nodes (l = 0) give 0.
+    live = lengths > 0
+    safe = np.maximum(lengths, 1)
+    weight = np.where(live, m / safe, 0.0)
+    sin_half = np.sqrt(np.where(live, 1.0 - weight, 0.0))
+    phase = np.exp(2j * np.pi * np.where(live, n / safe, 0.0))
+    return np.sqrt(weight), sin_half, phase
+
+
+def _tree_factors(thetas: np.ndarray, phis: np.ndarray):
+    half = thetas / 2.0
+    return np.cos(half), np.sin(half), np.exp(1j * phis)
 
 
 def amplitudes(state: NestedState) -> np.ndarray:
@@ -278,29 +312,12 @@ def amplitudes(state: NestedState) -> np.ndarray:
     sqrt(m_k / l_k) and a - branch by sqrt(1 - m_k / l_k) * e^(2 pi i n_k / l_k);
     absent branches (l_k = 0) contribute amplitude zero.
     """
-
-    def level_factors(d: int):
-        sl = state.level_slice(d)
-        lengths = state.lengths[sl]
-        live = lengths > 0
-        safe = np.maximum(lengths, 1)
-        weight = np.where(live, state.m[sl] / safe, 0.0)
-        sin_half = np.sqrt(np.where(live, 1.0 - weight, 0.0))
-        phase = np.exp(2j * np.pi * np.where(live, state.n[sl] / safe, 0.0))
-        return np.sqrt(weight), sin_half, phase
-
-    return _expand(state.depth, level_factors)
+    return _expand(_state_factors, state.m[None], state.n[None], state.lengths[None])[0]
 
 
 def amplitudes_of_tree(tree: AngleTree) -> np.ndarray:
     """Dense 2^N state vector of the continuum tree (the exact reference)."""
-
-    def level_factors(d: int):
-        lo, hi = 1 << (d - 1), 1 << d
-        half = tree.thetas[lo:hi] / 2.0
-        return np.cos(half), np.sin(half), np.exp(1j * tree.phis[lo:hi])
-
-    return _expand(tree.depth, level_factors)
+    return _expand(_tree_factors, tree.thetas[None], tree.phis[None])[0]
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -325,6 +342,7 @@ def saturation_experiment(
     n_max_arg: int,
     samples: int,
     seed: int,
+    timings: Optional[dict] = None,
 ) -> list[SaturationRow]:
     """Fidelity of random trees after encode/decode, swept over qubit number.
 
@@ -334,6 +352,11 @@ def saturation_experiment(
     and compares the reconstructed state against the exact tree state.  Rows
     report the median and 10th-percentile fidelity plus the smallest segment
     length encountered.
+
+    The trees of one N are decoded and expanded in batches whose size bounds
+    memory; each tree's numbers, and so the rows, do not depend on the split.
+    When ``timings`` is a dict, the wall seconds spent in each phase of
+    ``SATURATION_PHASES`` are added to it under the phase's name.
     """
     if L < 2 or L % 2:
         raise ValueError(f"granularity must be even and >= 2, got L={L}")
@@ -343,18 +366,36 @@ def saturation_experiment(
         )
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    spent = {} if timings is None else timings
     rows = []
     for N in range(n_min, n_max_arg + 1):
+        # A batch holds about _BATCH_BYTES: 1 byte per string bit and 16 per
+        # amplitude of each tree.
+        per_batch = max(1, _BATCH_BYTES // (L + (16 << N)))
         fids = np.empty(samples)
         min_seg = L
-        for i in range(samples):
-            rng = np.random.default_rng((seed ^ i) & _MASK64)
-            tree = random_angle_tree(N, rng)
-            strings, _ = encode_nested(tree, L)
-            state = decode_nested(strings)
-            fids[i] = fidelity(amplitudes_of_tree(tree), amplitudes(state))
-            deepest = state.lengths[state.level_slice(N)]
-            min_seg = min(min_seg, int(deepest.min()))
+        for start in range(0, samples, per_batch):
+            batch = range(start, min(start + per_batch, samples))
+            marks = [time.perf_counter()]
+            trees = [
+                random_angle_tree(N, np.random.default_rng((seed ^ i) & _MASK64))
+                for i in batch
+            ]
+            marks.append(time.perf_counter())
+            families = [encode_nested(tree, L)[0] for tree in trees]
+            marks.append(time.perf_counter())
+            m, n, lengths = _decode_trees(families, L)
+            min_seg = min(min_seg, int(lengths[:, 1 << (N - 1) :].min()))
+            marks.append(time.perf_counter())
+            thetas = np.stack([tree.thetas for tree in trees])
+            phis = np.stack([tree.phis for tree in trees])
+            exact = _expand(_tree_factors, thetas, phis)
+            quantised = _expand(_state_factors, m, n, lengths)
+            marks.append(time.perf_counter())
+            fids[batch.start : batch.stop] = [fidelity(a, b) for a, b in zip(exact, quantised)]
+            marks.append(time.perf_counter())
+            for phase, begin, end in zip(SATURATION_PHASES, marks, marks[1:]):
+                spent[phase] = spent.get(phase, 0.0) + end - begin
         rows.append(
             SaturationRow(
                 N,

@@ -1,17 +1,22 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qgrain import cli
-from qgrain import gravity, signed_perm
+from qgrain import gravity, nested, signed_perm
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -216,6 +221,39 @@ def test_saturate_json(capsys):
     assert [row["N"] for row in doc["rows"]] == [2, 3]
 
 
+def test_saturate_timings_go_to_stderr_only(capsys):
+    argv = ["saturate", "--L", "64", "--n", "1..3", "--samples", "7", "--seed", "4"]
+    for fmt in ("text", "json", "csv"):
+        plain = run_cli(capsys, *argv, "--format", fmt)
+        timed = run_cli(capsys, *argv, "--format", fmt, "--timings")
+        assert plain[0] == 0 and plain[2] == ""
+        assert timed[:2] == plain[:2]
+        lines = timed[2].splitlines()
+        assert [line.split()[1] for line in lines] == list(nested.SATURATION_PHASES)
+        assert all(line.startswith("timing ") and line.endswith(" s") for line in lines)
+        assert all(float(line.split()[2]) >= 0 for line in lines)
+
+
+def test_saturate_matches_benchmark_goldens():
+    # The digests the benchmark's output gate checks at seed 0, for the
+    # current schema.  A child process with one BLAS thread, as the benchmark
+    # runs it: np.vdot's summation order depends on the thread count.
+    with open(ROOT / "perfbench" / "goldens.json", encoding="utf-8") as fh:
+        digests = json.load(fh)["saturate"][str(cli.SCHEMA_VERSION)]
+    assert len(digests) == 2
+    env = dict(
+        os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"
+    )
+    env.pop("QGRAIN_CONSTANTS", None)
+    for key, digest in digests.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "qgrain.cli", *key.split(), "--seed", "0"],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest, key
+
+
 def test_saturate_bad_range_exits_2(capsys):
     code, _, _ = run_cli(capsys, "saturate", "--L", "64", "--n", "5..2", "--samples", "5")
     assert code == 2
@@ -299,13 +337,14 @@ _FLAGS = {
     "encode": ["--m", "--n", "--L"],
     "decode": ["--bits"],
     "pauli-verify": ["--L"],
-    "saturate": ["--L", "--n", "--samples"],
+    "saturate": ["--L", "--n", "--samples", "--timings"],
     "niven": ["--cos"],
     "uncertainty": ["--samples"],
     "reduce": ["--m", "--n", "--L", "--to"],
     "frobnicate": ["--L"],
 }
 _COMMON_FLAGS = ["--format", "--seed", "--precision", "--constants"]
+_SWITCHES = {"--timings"}
 _VALUES = st.one_of(
     st.sampled_from(["0", "1", "2", "3", "4", "8", "-1", "-2", str(1 << 62)]),
     st.sampled_from(
@@ -323,7 +362,9 @@ def _argv(draw):
     for flag in _FLAGS[command] + _COMMON_FLAGS:
         # Command flags are usually present so the commands run; common ones rarely.
         if draw(st.integers(0, 9)) < (8 if flag in _FLAGS[command] else 1):
-            argv += [flag, draw(_FORMATS if flag == "--format" else _VALUES)]
+            argv.append(flag)
+            if flag not in _SWITCHES:
+                argv.append(draw(_FORMATS if flag == "--format" else _VALUES))
     return argv
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from qgrain.bitstring import (
     iota,
     to_text,
 )
+from qgrain import nested
 from qgrain.nested import (
     AngleTree,
     _decode_level,
@@ -363,3 +365,64 @@ def test_saturation_experiment_validation():
         saturation_experiment(64, 1, 30, 5, 0)
     with pytest.raises(ValueError):
         saturation_experiment(64, 1, 2, 0, 0)
+
+
+def _per_tree_rows(L, n_min, n_max_arg, samples, seed):
+    # Reference: one tree at a time through the public functions.
+    rows = []
+    for N in range(n_min, n_max_arg + 1):
+        fids = []
+        min_seg = L
+        for i in range(samples):
+            tree = random_angle_tree(N, np.random.default_rng(seed ^ i))
+            strings, _ = encode_nested(tree, L)
+            state = decode_nested(strings)
+            fids.append(fidelity(amplitudes_of_tree(tree), amplitudes(state)))
+            min_seg = min(min_seg, int(state.lengths[state.level_slice(N)].min()))
+        rows.append((N, float(np.median(fids)), float(np.percentile(fids, 10)), min_seg))
+    return rows
+
+
+def _per_batch(L, N):
+    return max(1, nested._BATCH_BYTES // (L + (16 << N)))
+
+
+@pytest.mark.parametrize(
+    "L,n_min,n_max_arg,samples,seed",
+    [
+        (4096, 10, 10, _per_batch(4096, 10) - 1, 0),
+        (4096, 10, 10, _per_batch(4096, 10), 7),
+        (4096, 10, 10, _per_batch(4096, 10) + 1, 12345),
+        (4096, 14, 14, 3, 1),
+        (2, 1, 14, 5, 3),
+        (64, 1, 6, 40, 9),
+    ],
+)
+def test_saturation_batches_match_per_tree_reference(L, n_min, n_max_arg, samples, seed):
+    assert _per_batch(4096, 10) == 12 and _per_batch(4096, 14) == 1
+    assert _per_batch(2, 14) == 1
+    assert saturation_experiment(L, n_min, n_max_arg, samples, seed) == _per_tree_rows(
+        L, n_min, n_max_arg, samples, seed
+    )
+
+
+def test_saturation_timings_cover_every_phase():
+    timings = {"draw": 1.0}
+    rows = saturation_experiment(64, 1, 3, 5, 2, timings=timings)
+    assert rows == saturation_experiment(64, 1, 3, 5, 2)
+    assert list(timings) == list(nested.SATURATION_PHASES)
+    assert timings["draw"] > 1.0 and all(t >= 0 for t in timings.values())
+
+
+@pytest.mark.parametrize("N", [4, 10, 14])
+def test_saturation_memory_is_flat_in_samples(N):
+    saturation_experiment(4096, N, N, 1, 0)  # first-call allocations out of the way
+    peaks = []
+    for samples in (64, 512):
+        tracemalloc.start()
+        try:
+            saturation_experiment(4096, N, N, samples, 0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
