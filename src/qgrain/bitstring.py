@@ -100,20 +100,20 @@ def iota(L: int, m: int) -> BitString:
         raise ValueError(f"m must lie in [0, L={L}], got {m}")
     v = np.full(L, -1, dtype=np.int8)
     v[:m] = 1
-    return BitString(v)
+    return BitString._trusted(v)
 
 
 def cyc(s: BitString, k: int) -> BitString:
     """k-fold cyclic shift: out[i] = s[(i + k) mod L]."""
-    return BitString(np.roll(s.values, -(k % len(s))))
+    return BitString._trusted(np.roll(s.values, -(k % len(s))))
 
 
 def negate(s: BitString) -> BitString:
-    return BitString(-s.values)
+    return BitString._trusted(-s.values)
 
 
 def concat(a: BitString, b: BitString) -> BitString:
-    return BitString(np.concatenate([a.values, b.values]))
+    return BitString._trusted(np.concatenate([a.values, b.values]))
 
 
 def encode(q: DiscretisedQubit) -> BitString:
@@ -178,7 +178,7 @@ def apply_permutation(s: BitString, perm: np.ndarray) -> BitString:
     perm = np.asarray(perm)
     if not np.array_equal(np.sort(perm), np.arange(len(s))):
         raise ValueError("perm must be a bijection on 0..L-1")
-    return BitString(s.values[perm])
+    return BitString._trusted(s.values.take(perm))
 
 
 def _sorted_columns(family: list[BitString]) -> np.ndarray:

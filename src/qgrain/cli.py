@@ -197,7 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default text; csv for saturate only)",
     )
     common.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
-    common.add_argument("--precision", type=int, default=120, help="significant decimal digits")
+    common.add_argument(
+        "--precision", type=int, default=None,
+        help="significant decimal digits (default: the constants file's precision, else 120)",
+    )
     common.add_argument("--constants", default=None, help="path to a key=value constants file")
 
     parser = argparse.ArgumentParser(

@@ -237,8 +237,8 @@ def _walk_levels(depth: int, L: int, level_mn, trees: int = 1):
 
 def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState]:
     """Quantise a depth-N tree at granularity L and emit its N strings."""
-    if L < 2 or L % 2:
-        raise ValueError(f"encoding requires even granularity >= 2, got L={L}")
+    if not 2 <= L < 1 << 63 or L % 2:
+        raise ValueError(f"encoding needs even L in [2, 2^63) (int64 limit), got L={L}")
     strings = []
 
     def level_mn(d: int, lengths: np.ndarray):
@@ -351,15 +351,13 @@ def saturation_experiment(
     evaluation order), quantises at granularity L, decodes the strings back
     and compares the reconstructed state against the exact tree state.  Rows
     report the median and 10th-percentile fidelity plus the smallest segment
-    length encountered.
+    length encountered.  ``encode_nested`` checks L: even, 2 <= L < 2^63.
 
     The trees of one N are decoded and expanded in batches whose size bounds
     memory; each tree's numbers, and so the rows, do not depend on the split.
     When ``timings`` is a dict, the wall seconds spent in each phase of
     ``SATURATION_PHASES`` are added to it under the phase's name.
     """
-    if L < 2 or L % 2:
-        raise ValueError(f"granularity must be even and >= 2, got L={L}")
     if not 1 <= n_min <= n_max_arg <= _MAX_DENSE_DEPTH:
         raise ValueError(
             f"need 1 <= n_min <= n_max <= {_MAX_DENSE_DEPTH}, got {n_min}..{n_max_arg}"

@@ -38,6 +38,16 @@ class SignedPermutation:
         self._map = index_map
         self._signs = signs
 
+    @classmethod
+    def _trusted(cls, index_map: np.ndarray, signs: np.ndarray) -> "SignedPermutation":
+        # A fresh int64 bijection and equal-length int8 +-1 signs: no copy, no check.
+        op = object.__new__(cls)
+        index_map.flags.writeable = False
+        signs.flags.writeable = False
+        op._map = index_map
+        op._signs = signs
+        return op
+
     @property
     def index_map(self) -> np.ndarray:
         return self._map
@@ -74,14 +84,15 @@ def apply(a: SignedPermutation, s: BitString) -> BitString:
     """Operator action, equal to the dense matrix-vector product."""
     if len(a) != len(s):
         raise ValueError(f"operator length {len(a)} != string length {len(s)}")
-    return BitString(a.signs * s.values[a.index_map])
+    return BitString._trusted(a.signs * s.values[a.index_map])
 
 
 def compose(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:
     """Operator product: apply(compose(a, b), s) == apply(a, apply(b, s))."""
     if len(a) != len(b):
         raise ValueError(f"operator lengths differ: {len(a)} != {len(b)}")
-    return SignedPermutation(b.index_map[a.index_map], a.signs * b.signs[a.index_map])
+    p = a.index_map
+    return SignedPermutation._trusted(b.index_map[p], a.signs * b.signs[p])
 
 
 def _require_divisible(L: int, d: int) -> None:
@@ -89,82 +100,70 @@ def _require_divisible(L: int, d: int) -> None:
         raise ValueError(f"operator needs {d} | L, got L={L}")
 
 
+def _identity(L: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.arange(L, dtype=np.int64), np.ones(L, dtype=np.int8)
+
+
 def identity_op(L: int) -> SignedPermutation:
-    return SignedPermutation(np.arange(L), np.ones(L, dtype=np.int8))
+    return SignedPermutation._trusted(*_identity(L))
 
 
 def negation_op(L: int) -> SignedPermutation:
     """-1_L: identity map, all signs flipped."""
-    return SignedPermutation(np.arange(L), -np.ones(L, dtype=np.int8))
+    index_map, signs = _identity(L)
+    return SignedPermutation._trusted(index_map, -signs)
+
+
+def _blocks(L: int, d: int, block, columns, signs) -> tuple[np.ndarray, np.ndarray]:
+    # (map, signs) of the 2 x 2 block form needing d | L: block row r holds
+    # signs[r] * block(L/2) in block column columns[r].
+    _require_divisible(L, d)
+    h = L // 2
+    index_map, block_signs = block(h)
+    return (
+        np.concatenate([index_map + c * h for c in columns]),
+        np.concatenate([s * block_signs for s in signs]),
+    )
 
 
 def _j_parts(L: int) -> tuple[np.ndarray, np.ndarray]:
     # [[0, 1], [-1, 0]] on half-size blocks
-    h = L // 2
-    index_map = np.concatenate([np.arange(h) + h, np.arange(h)])
-    signs = np.concatenate([np.ones(h, np.int8), -np.ones(h, np.int8)])
-    return index_map, signs
+    return _blocks(L, 2, _identity, (1, 0), (1, -1))
 
 
 def make_j(L: int) -> SignedPermutation:
     """j: swap halves, negating the second; j^2 = -1."""
-    _require_divisible(L, 2)
-    return SignedPermutation(*_j_parts(L))
+    return SignedPermutation._trusted(*_j_parts(L))
 
 
 def make_i(L: int) -> SignedPermutation:
     """i: block-diagonal (j_half, -j_half)."""
-    _require_divisible(L, 4)
-    jp, js = _j_parts(L // 2)
-    return SignedPermutation(
-        np.concatenate([jp, jp + L // 2]), np.concatenate([js, -js])
-    )
+    return SignedPermutation._trusted(*_blocks(L, 4, _j_parts, (0, 1), (1, -1)))
 
 
 def make_k(L: int) -> SignedPermutation:
     """k: off-diagonal (j_half | j_half); k = i * j."""
-    _require_divisible(L, 4)
-    jp, js = _j_parts(L // 2)
-    return SignedPermutation(
-        np.concatenate([jp + L // 2, jp]), np.concatenate([js, js])
-    )
+    return SignedPermutation._trusted(*_blocks(L, 4, _j_parts, (1, 0), (1, 1)))
 
 
 def make_ilittle(L: int) -> SignedPermutation:
     """Scalar complex unit: block-diagonal (j_half, j_half); commutes with sigma_z."""
-    _require_divisible(L, 4)
-    jp, js = _j_parts(L // 2)
-    return SignedPermutation(
-        np.concatenate([jp, jp + L // 2]), np.concatenate([js, js])
-    )
+    return SignedPermutation._trusted(*_blocks(L, 4, _j_parts, (0, 1), (1, 1)))
 
 
 def make_pauli_x(L: int) -> SignedPermutation:
     """sigma_x: swap halves."""
-    _require_divisible(L, 2)
-    h = L // 2
-    return SignedPermutation(
-        np.concatenate([np.arange(h) + h, np.arange(h)]), np.ones(L, np.int8)
-    )
+    return SignedPermutation._trusted(*_blocks(L, 2, _identity, (1, 0), (1, 1)))
 
 
 def make_pauli_y(L: int) -> SignedPermutation:
     """sigma_y: off-diagonal (-j_half | j_half)."""
-    _require_divisible(L, 4)
-    jp, js = _j_parts(L // 2)
-    return SignedPermutation(
-        np.concatenate([jp + L // 2, jp]), np.concatenate([-js, js])
-    )
+    return SignedPermutation._trusted(*_blocks(L, 4, _j_parts, (1, 0), (-1, 1)))
 
 
 def make_pauli_z(L: int) -> SignedPermutation:
     """sigma_z: diagonal (+1 on the first half, -1 on the second)."""
-    _require_divisible(L, 2)
-    h = L // 2
-    return SignedPermutation(
-        np.arange(L),
-        np.concatenate([np.ones(h, np.int8), -np.ones(h, np.int8)]),
-    )
+    return SignedPermutation._trusted(*_blocks(L, 2, _identity, (0, 1), (1, -1)))
 
 
 def verify_quaternion(L: int) -> bool:

@@ -160,6 +160,34 @@ def test_negate_and_concat():
     assert concat(bits(1), bits(-1, -1)) == bits(1, -1, -1)
 
 
+@given(
+    st.lists(st.sampled_from([1, -1]), min_size=1, max_size=64), st.integers(-99, 99), st.data()
+)
+def test_built_strings_are_fresh_read_only_and_canonical(vals, k, data):
+    s = BitString(vals)
+    L = len(s)
+    perm = np.array(data.draw(st.permutations(range(L))))
+    built = [
+        iota(L, data.draw(st.integers(0, L))),
+        cyc(s, k),
+        negate(s),
+        concat(s, negate(s)),
+        apply_permutation(s, perm),
+        encode(DiscretisedQubit(data.draw(st.integers(0, 2 * L)), k % (2 * L), 2 * L)),
+    ]
+    for b in built:
+        assert b.values.dtype == np.int8 and b.values.ndim == 1
+        assert not b.values.flags.writeable
+        assert not np.shares_memory(b.values, s.values)
+        assert BitString(b.values) == b
+    assert perm.flags.writeable  # the caller's permutation is left alone
+
+
+def test_apply_permutation_reads_boolean_perm_as_indices():
+    # [False, True] sorts equal to [0, 1], so it passes the bijection check.
+    assert apply_permutation(bits(1, -1), np.array([True, False])) == bits(-1, 1)
+
+
 def test_text_serialisation_round_trip():
     s = encode(DiscretisedQubit(2, 0, 4))
     assert to_text(s) == "--++"

@@ -159,6 +159,24 @@ def test_capacity_constants_file(capsys, tmp_path):
     assert json.loads(out)["log10_L"] == pytest.approx(193.035, abs=0.01)
 
 
+def _e_g_digits(out: str) -> int:
+    return len(Decimal(json.loads(out)["E_G"]).as_tuple().digits)
+
+
+def test_constants_file_precision_applies_unless_flag_given(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "c.txt"
+    path.write_text("precision = 60\n")
+    argv = ["capacity", "--mass", "1e-30", "--sep", "5e-9", "--format", "json"]
+    monkeypatch.delenv("QGRAIN_CONSTANTS", raising=False)
+    assert _e_g_digits(run_cli(capsys, *argv)[1]) == 120
+    assert _e_g_digits(run_cli(capsys, *argv, "--constants", str(path))[1]) == 60
+    flagged = argv + ["--constants", str(path), "--precision", "80"]
+    assert _e_g_digits(run_cli(capsys, *flagged)[1]) == 80
+    monkeypatch.setenv("QGRAIN_CONSTANTS", str(path))
+    assert _e_g_digits(run_cli(capsys, *argv)[1]) == 60
+    assert _e_g_digits(run_cli(capsys, *argv, "--precision", "80")[1]) == 80
+
+
 def test_pauli_verify_pass(capsys):
     code, out, _ = run_cli(capsys, "pauli-verify", "--L", "8")
     assert code == 0
@@ -252,6 +270,22 @@ def test_saturate_matches_benchmark_goldens():
         )
         assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(proc.stdout).hexdigest() == digest, key
+
+
+@pytest.mark.parametrize("L", [2**63, 2**64, 2**641], ids=["2^63", "2^64", "2^641"])
+def test_saturate_granularity_beyond_int64_exits_2(capsys, L):
+    code, out, err = run_cli(capsys, "saturate", "--L", str(L), "--n", "1..2", "--samples", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "2^63" in err and "Traceback" not in err
+
+
+def test_saturate_unallocatable_granularity_exits_2(capsys):
+    # 2^62 is inside the int64 limit, so the string allocation is what fails.
+    code, out, err = run_cli(capsys, "saturate", "--L", str(2**62), "--n", "1..2", "--samples", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: input too large for available memory")
+    assert err.count("\n") == 1
 
 
 def test_saturate_bad_range_exits_2(capsys):

@@ -116,6 +116,14 @@ def test_encode_nested_rejects_odd_granularity():
         encode_nested(tree_from(1, [(0.1, 0.2)]), 5)
 
 
+@pytest.mark.parametrize("L", [2**63, 2**64, 2**641], ids=["2^63", "2^64", "2^641"])
+def test_granularity_beyond_int64_is_refused(L):
+    with pytest.raises(ValueError, match=r"2\^63"):
+        encode_nested(tree_from(1, [(0.1, 0.2)]), L)
+    with pytest.raises(ValueError, match=r"2\^63"):
+        saturation_experiment(L, 1, 2, 1, 0)
+
+
 @given(st.integers(1, 6), st.integers(1, 2**32 - 1))
 @settings(max_examples=40)
 def test_nested_round_trip(depth, seed):

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,52 @@ def test_compose_matches_dense_product():
                 assert apply(compose(a, b), s) == apply(a, apply(b, s))
 
 
+def assert_canonical(op):
+    # A library-built operator: read-only int64 map and int8 signs that the
+    # public constructor accepts unchanged.
+    assert op.index_map.dtype == np.int64 and op.signs.dtype == np.int8
+    assert not op.index_map.flags.writeable and not op.signs.flags.writeable
+    assert SignedPermutation(op.index_map, op.signs) == op
+
+
+@pytest.mark.parametrize("L", [2, 6, 12, 64])
+def test_built_operators_are_read_only_and_canonical(L):
+    ops = [factory(L) for factory, div in GENERATORS.values() if L % div == 0]
+    ops += [identity_op(L), negation_op(L)]
+    s = iota(L, L // 3)
+    for a in ops:
+        assert_canonical(a)
+        for b in ops:
+            assert_canonical(compose(a, b))
+        out = apply(a, s)
+        assert out.values.dtype == np.int8 and not out.values.flags.writeable
+        assert BitString(out.values) == out
+
+
+@given(st.integers(1, 32), st.data())
+def test_compose_of_random_public_operators_is_canonical(L, data):
+    signs = st.lists(st.sampled_from([1, -1]), min_size=L, max_size=L)
+    arrays = [
+        (np.array(data.draw(st.permutations(range(L)))), np.array(data.draw(signs)))
+        for _ in range(2)
+    ]
+    a, b = (SignedPermutation(index_map, sign) for index_map, sign in arrays)
+    c = compose(a, b)
+    assert_canonical(c)
+    want = a.to_dense().astype(np.int64) @ b.to_dense().astype(np.int64)
+    assert np.array_equal(c.to_dense(), want.astype(np.int8))
+    s = BitString(data.draw(signs))
+    out = apply(c, s)
+    assert out == apply(a, apply(b, s))
+    assert not out.values.flags.writeable and BitString(out.values) == out
+    for index_map, sign in arrays:  # the public constructor copied its input
+        assert index_map.flags.writeable and sign.flags.writeable
+        index_map[:] = 0
+        sign[:] = 1
+    assert_canonical(a)
+    assert_canonical(b)
+
+
 @given(st.integers(2, 64), st.data())
 def test_compose_is_associative(L, data):
     seeds = data.draw(st.tuples(*[st.integers(0, 2**31)] * 3))
@@ -139,6 +186,18 @@ def test_verify_quaternion():
     assert verify_quaternion(8)
     with pytest.raises(ValueError):
         verify_quaternion(6)
+
+
+def test_verify_quaternion_megabit_memory():
+    L = 1 << 20
+    verify_quaternion(L)  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        assert verify_quaternion(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 52 * 2**20, f"verify_quaternion(2^20) peaked at {peak / 2**20:.1f} MiB"
 
 
 def test_verify_spin_identities():
