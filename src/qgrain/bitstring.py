@@ -70,8 +70,8 @@ class BitString:
 
 
 def to_text(s: BitString) -> str:
-    """Render as a string over '+' and '-'."""
-    return "".join("+" if v > 0 else "-" for v in s.values)
+    """Render as a string over '+' and '-' (bytes 44 - v: 43 and 45)."""
+    return (44 - s.values).tobytes().decode("ascii")
 
 
 def from_text(text: str) -> BitString:
@@ -82,9 +82,11 @@ def from_text(text: str) -> BitString:
         if length != len(body):
             raise ValueError(f"length header {length} does not match body of {len(body)}")
         text = body
-    if not text or set(text) - {"+", "-"}:
+    # 44 - byte is +1 for '+' (43), -1 for '-' (45) and neither for other bytes.
+    values = 44 - np.frombuffer(text.encode("ascii", "replace"), dtype=np.int8)
+    if not text or np.any(np.abs(values) != 1):
         raise ValueError("bit-string text must be non-empty over '+' and '-'")
-    return BitString([1 if ch == "+" else -1 for ch in text])
+    return BitString._trusted(values)
 
 
 def to_wire(s: BitString) -> str:
@@ -94,8 +96,8 @@ def to_wire(s: BitString) -> str:
 
 def iota(L: int, m: int) -> BitString:
     """Block pattern: m leading +1 entries, then L - m entries of -1."""
-    if L < 1:
-        raise ValueError(f"length must be >= 1, got {L}")
+    if not 1 <= L < 1 << 63:
+        raise ValueError(f"string needs L in [1, 2^63) (int64 limit), got L={L}")
     if not 0 <= m <= L:
         raise ValueError(f"m must lie in [0, L={L}], got {m}")
     v = np.full(L, -1, dtype=np.int8)

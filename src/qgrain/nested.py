@@ -6,7 +6,9 @@ conditional qubit of its branch.  Encoding maps the tree onto N strings of L
 bits each: string d concatenates, in node order, one codeword per depth-d
 node, where a node's segment length equals the +1 count (m) or -1 count of
 its parent segment.  Zero-length segments are absent branches; length-1
-segments are classical bits (m in {0, 1}, n = 0).
+segments are classical bits (m in {0, 1}, n = 0).  Only the length
+recurrence goes level by level: heap order is string order, so the phases,
+codewords and the decoder's codeword check run once per family, on all nodes.
 
 Capacity counting: the N strings hold L*N bits while the state has
 2^(N+1) - 2 real degrees of freedom, which bounds the usable qubit number
@@ -152,112 +154,114 @@ class NestedState:
         return slice(1 << (d - 1), 1 << d)
 
 
-def _quantise_level(
-    lengths: np.ndarray, thetas: np.ndarray, phis: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    # Vector form of qubit.quantise with the same half-down tie rule.
-    weight = np.cos(thetas / 2.0) ** 2
-    m = np.ceil(lengths * weight - 0.5).astype(np.int64)
-    m = np.clip(m, 0, lengths)
-    safe = np.maximum(lengths, 1)
-    frac = np.mod(phis, TWO_PI) / TWO_PI
-    n = np.mod(np.ceil(lengths * frac - 0.5).astype(np.int64), safe)
-    n[(lengths == 0) | (m == 0) | (m == lengths)] = 0
-    return m, n
+def _run_table(lengths: np.ndarray, m: np.ndarray, n: np.ndarray):
+    # Four (sign, run) entries per segment, in segment order, of the codewords
+    # cyc(iota(l, m), l//2 + n).  The +1 block starts at a = -(l//2 + n) mod l
+    # and w = max(a + m - l, 0) of it wraps past the segment end, so the runs
+    # are +1 x w, -1 x (a - w), +1 x (m - w), -1 x (l - a - m + w).
+    a = -(lengths // 2 + n) % np.maximum(lengths, 1)
+    w = np.maximum(a + m - lengths, 0)
+    runs = np.column_stack((w, a - w, m - w, lengths - a - m + w))
+    return np.tile(np.array([1, -1, 1, -1], dtype=np.int8), lengths.size), runs.ravel()
 
 
 def _level_codeword(lengths: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    # Concatenated per-segment codewords cyc(iota(l, m), l//2 + n), built from
-    # runs.  A segment's +1 block starts at a = -(l//2 + n) mod l and wraps
-    # past the segment end iff a + m > l, so every segment is three runs:
-    #   no wrap: -1 x a,          +1 x m,     -1 x (l - a - m)
-    #   wrap:    +1 x (a + m - l), -1 x (l - m), +1 x (l - a)
-    # One np.repeat expands the (segments, 3) run table into the level.
-    a = -(lengths // 2 + n) % np.maximum(lengths, 1)
-    wrap = a + m > lengths
-    first = np.where(wrap, a + m - lengths, a)
-    middle = np.where(wrap, lengths - m, m)
-    sign = np.where(wrap, 1, -1).astype(np.int8)
-    signs = np.column_stack((sign, -sign, sign))
-    runs = np.column_stack((first, middle, lengths - first - middle))
-    return np.repeat(signs.ravel(), runs.ravel())
+    # Concatenated codewords of consecutive segments.
+    return np.repeat(*_run_table(lengths, m, n))
 
 
-def _decode_level(values: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Per-segment inversion of _level_codeword; raises on non-codewords.
-    # An internal transition is a sign change between two bits of the same
-    # segment.  The segment's cyclic transitions are its internal ones plus
-    # one if its first and last bits differ; that count is even, and the +1s
-    # form one cyclic block iff it is at most 2.  So a segment is a codeword
-    # iff it has at most 2 internal transitions.  The block start, which
-    # fixes n, is the segment's one internal -1 -> +1 edge, or the segment
-    # start when there is none.
+def _plus_counts(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    # +1 count of each of the consecutive segments that tile values.
     starts = np.cumsum(lengths) - lengths
     live = np.flatnonzero(lengths)
     m = np.zeros_like(lengths)
     m[live] = np.add.reduceat(values == 1, starts[live], dtype=np.int64)
+    return m
 
+
+def _segment_phases(values: np.ndarray, lengths: np.ndarray, m: np.ndarray) -> np.ndarray:
+    # n of the consecutive segments that tile values, given their +1 counts
+    # m; raises on a non-codeword.  A segment is a codeword iff at most 2 of
+    # its adjacent bit pairs differ: with the wrap-around pair that count is
+    # even, and it is at most 2 iff the +1s form one cyclic block.  The block
+    # start, which fixes n, is the one internal -1 -> +1 edge, or the segment
+    # start when there is none.
+    starts = np.cumsum(lengths) - lengths
+    live = np.flatnonzero(lengths)
     edges = np.flatnonzero(values[1:] != values[:-1]) + 1
     seg = live[np.searchsorted(starts[live], edges, side="right") - 1]
     internal = edges != starts[seg]
     edges, seg = edges[internal], seg[internal]
     if np.any(np.bincount(seg, minlength=lengths.size) > 2):
         raise NotCodewordError("segment is not a cyclic shift of a contiguous +1 block")
-
     block = starts.copy()
     rising = values[edges] == 1
     block[seg[rising]] = edges[rising]
     mixed = (m > 0) & (m < lengths)
-    n = np.where(mixed, (starts - block - lengths // 2) % np.maximum(lengths, 1), 0)
-    return m, n
+    return np.where(mixed, (starts - block - lengths // 2) % np.maximum(lengths, 1), 0)
 
 
-def _walk_levels(depth: int, L: int, level_mn, trees: int = 1):
-    # (trees, 2^depth) heap arrays m, n, lengths of `trees` trees, root down,
-    # with the segment length rule l_2k = m_k, l_2k+1 = l_k - m_k.
-    # level_mn(d, lengths) gives the depth-d (m, n) for the depth-d lengths of
-    # every tree, flattened tree-major; each tree's level covers L bits, so the
-    # level kernels work on the concatenation of the trees' levels.
+def _decode_level(values: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Per-segment inversion of _level_codeword; raises on non-codewords.
+    m = _plus_counts(values, lengths)
+    return m, _segment_phases(values, lengths, m)
+
+
+def _walk_levels(depth: int, L: int, level_m, trees: int = 1):
+    # (trees, 2^depth) heap arrays m and lengths of `trees` trees, root down,
+    # by l_2k = m_k, l_2k+1 = l_k - m_k: the one recurrence that must go level
+    # by level.  level_m(d, lengths) gives the depth-d m for the depth-d
+    # lengths of every tree, flattened tree-major.  Every level covers exactly
+    # L bits, so its boundaries are segment starts, and the callers do the
+    # rest once over all nodes in heap order, which is the strings' order.
     size = 1 << depth
     m = np.zeros((trees, size), dtype=np.int64)
-    n = np.zeros((trees, size), dtype=np.int64)
     lengths = np.zeros((trees, size), dtype=np.int64)
     lengths[:, 1] = L
     for d in range(1, depth + 1):
         lo, hi = 1 << (d - 1), 1 << d
         level_len = lengths[:, lo:hi]
-        level_m, level_n = level_mn(d, level_len.ravel())
-        m[:, lo:hi] = level_m.reshape(trees, -1)
-        n[:, lo:hi] = level_n.reshape(trees, -1)
+        m[:, lo:hi] = level_m(d, level_len.ravel()).reshape(trees, -1)
         if d < depth:
             lengths[:, 2 * lo : 2 * hi : 2] = m[:, lo:hi]
             lengths[:, 2 * lo + 1 : 2 * hi : 2] = level_len - m[:, lo:hi]
-    return m, n, lengths
+    return m, lengths
 
 
 def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState]:
     """Quantise a depth-N tree at granularity L and emit its N strings."""
     if not 2 <= L < 1 << 63 or L % 2:
         raise ValueError(f"encoding needs even L in [2, 2^63) (int64 limit), got L={L}")
-    strings = []
+    # Vector form of qubit.quantise with the same half-down tie rule.
+    weight = np.cos(tree.thetas[1:] / 2.0) ** 2
 
-    def level_mn(d: int, lengths: np.ndarray):
-        lo, hi = 1 << (d - 1), 1 << d
-        m, n = _quantise_level(lengths, tree.thetas[lo:hi], tree.phis[lo:hi])
-        strings.append(BitString._trusted(_level_codeword(lengths, m, n)))
-        return m, n
+    def level_m(d: int, lengths: np.ndarray):
+        m = np.ceil(lengths * weight[(1 << (d - 1)) - 1 : (1 << d) - 1] - 0.5).astype(np.int64)
+        return np.clip(m, 0, lengths)
 
-    m, n, lengths = _walk_levels(tree.depth, L, level_mn)
-    return strings, NestedState(tree.depth, L, m[0], n[0], lengths[0])
+    m, lengths = (heap[0] for heap in _walk_levels(tree.depth, L, level_m))
+    # np.mod returns phases in [0, 2pi) unchanged, so only the others pay for it.
+    phis, l = tree.phis[1:], lengths[1:]
+    frac = np.mod(phis, TWO_PI, out=phis.copy(), where=(phis < 0) | (phis >= TWO_PI)) / TWO_PI
+    n = np.zeros_like(m)
+    n[1:] = np.mod(np.ceil(l * frac - 0.5).astype(np.int64), np.maximum(l, 1))
+    n[(m == 0) | (m == lengths)] = 0  # degenerate or absent (m <= l)
+    signs, runs = _run_table(lengths, m, n)  # level d's runs: [4 * 2^(d-1), 4 * 2^d)
+    cuts = [4 << d for d in range(tree.depth + 1)]
+    strings = [BitString._trusted(np.repeat(signs[a:b], runs[a:b])) for a, b in zip(cuts, cuts[1:])]
+    return strings, NestedState(tree.depth, L, m, n, lengths)
 
 
 def _decode_trees(families: Sequence[Sequence[BitString]], L: int):
-    # Heap arrays of every family's decoded tree, one level walk for all.
-    def level_mn(d: int, lengths: np.ndarray):
-        values = np.concatenate([strings[d - 1].values for strings in families])
-        return _decode_level(values, lengths)
+    # Heap arrays m, n, lengths of every family's decoded tree.  The walk
+    # counts +1s; one codeword check covers the families' bits, concatenated
+    # tree-major like the heap rows (slot 0 is an absent segment).
+    def level_m(d: int, lengths: np.ndarray):
+        return _plus_counts(np.concatenate([strings[d - 1].values for strings in families]), lengths)
 
-    return _walk_levels(len(families[0]), L, level_mn, len(families))
+    m, lengths = _walk_levels(len(families[0]), L, level_m, len(families))
+    bits = np.concatenate([s.values for strings in families for s in strings])
+    return m, _segment_phases(bits, lengths.ravel(), m.ravel()).reshape(m.shape), lengths
 
 
 def decode_nested(strings: Sequence[BitString]) -> NestedState:
@@ -353,7 +357,8 @@ def saturation_experiment(
     report the median and 10th-percentile fidelity plus the smallest segment
     length encountered.  ``encode_nested`` checks L: even, 2 <= L < 2^63.
 
-    The trees of one N are decoded and expanded in batches whose size bounds
+    Each tree is encoded alone; the trees of one N are decoded (one level
+    walk, one codeword check) and expanded in batches whose size bounds
     memory; each tree's numbers, and so the rows, do not depend on the split.
     When ``timings`` is a dict, the wall seconds spent in each phase of
     ``SATURATION_PHASES`` are added to it under the phase's name.

@@ -98,9 +98,16 @@ def compose(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:
 def _require_divisible(L: int, d: int) -> None:
     if L < d or L % d:
         raise ValueError(f"operator needs {d} | L, got L={L}")
+    _require_int64(L)
+
+
+def _require_int64(L: int) -> None:
+    if L >= 1 << 63:
+        raise ValueError(f"operator needs L < 2^63 (int64 limit), got L={L}")
 
 
 def _identity(L: int) -> tuple[np.ndarray, np.ndarray]:
+    _require_int64(L)
     return np.arange(L, dtype=np.int64), np.ones(L, dtype=np.int8)
 
 

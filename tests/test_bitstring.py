@@ -23,6 +23,7 @@ from qgrain.bitstring import (
     to_text,
     to_wire,
 )
+from qgrain.nested import encode_nested, random_angle_tree
 from qgrain.qubit import DiscretisedQubit
 
 
@@ -175,17 +176,37 @@ def test_built_strings_are_fresh_read_only_and_canonical(vals, k, data):
         apply_permutation(s, perm),
         encode(DiscretisedQubit(data.draw(st.integers(0, 2 * L)), k % (2 * L), 2 * L)),
     ]
-    for b in built:
+    depth = data.draw(st.integers(1, 4), label="depth")
+    tree = random_angle_tree(depth, np.random.default_rng(data.draw(st.integers(0, 99))))
+    family = encode_nested(tree, 2 * L)[0]
+    assert len(family) == depth and all(len(f) == 2 * L for f in family)
+    for b in built + family:
         assert b.values.dtype == np.int8 and b.values.ndim == 1
         assert not b.values.flags.writeable
         assert not np.shares_memory(b.values, s.values)
         assert BitString(b.values) == b
+    assert all(f.values.flags.owndata for f in family)  # each level is its own array
     assert perm.flags.writeable  # the caller's permutation is left alone
 
 
 def test_apply_permutation_reads_boolean_perm_as_indices():
     # [False, True] sorts equal to [0, 1], so it passes the bijection check.
     assert apply_permutation(bits(1, -1), np.array([True, False])) == bits(-1, 1)
+
+
+def test_text_round_trip_at_megabit_length():
+    s = BitString(np.random.default_rng(3).choice(np.array([1, -1], dtype=np.int8), 1 << 20))
+    text = to_text(s)
+    assert len(text) == 1 << 20 and set(text) == {"+", "-"}
+    assert text[:64] == "".join("+" if v > 0 else "-" for v in s.values[:64])
+    assert from_text(text) == s
+    assert from_text(to_wire(s)) == s
+
+
+@pytest.mark.parametrize("text", ["", "+!-", "+ -", "+é-", "+\ud800-", "0:", "2:+:"])
+def test_from_text_rejects_anything_but_plus_minus(text):
+    with pytest.raises(ValueError, match="non-empty over"):
+        from_text(text)
 
 
 def test_text_serialisation_round_trip():

@@ -48,6 +48,20 @@ def test_encode_unallocatable_length_exits_2(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["encode", "--m", "1", "--n", "0", "--L", str(2**64)], "string needs L in [1, 2^63)"),
+        (["pauli-verify", "--L", str(2**64)], "operator needs L < 2^63"),
+    ],
+    ids=["encode", "pauli-verify"],
+)
+def test_length_beyond_int64_exits_2_naming_the_limit(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message} (int64 limit), got L={2**64}\n"
+
+
 def test_decode_round_trip(capsys):
     code, out, _ = run_cli(capsys, "decode", "--bits", "--++")
     assert code == 0

@@ -32,7 +32,7 @@ from qgrain.nested import (
     random_angle_tree,
     saturation_experiment,
 )
-from qgrain.qubit import DiscretisedQubit
+from qgrain.qubit import TWO_PI, DiscretisedQubit, quantise
 
 
 def test_dof_count_examples():
@@ -166,6 +166,58 @@ def test_decode_nested_rejects_corrupt_segment():
         decode_nested([strings[0], BitString(bad)])
 
 
+NOT_CODEWORD = r"^segment is not a cyclic shift of a contiguous \+1 block$"
+
+
+def _corrupt(string, start, pattern):
+    # Overwrite bits from start on with pattern; the +1 count is unchanged
+    # when pattern has as many +1s as the bits it replaces.
+    values = np.array(string.values)
+    values[start : start + len(pattern)] = pattern
+    return BitString(values)
+
+
+def _half_tree(depth):
+    # Every node at theta = pi/2, so every segment splits evenly.
+    return tree_from(depth, [(math.pi / 2, 0.0)] * ((1 << depth) - 1))
+
+
+def test_decode_nested_rejects_corrupt_root_level_only():
+    strings, state = encode_nested(_half_tree(3), 16)
+    assert to_text(strings[0]) == "--------++++++++"
+    bad = [_corrupt(strings[0], 0, [1, -1] * 8)] + strings[1:]  # same m = 8 at the root
+    with pytest.raises(NotCodewordError, match=NOT_CODEWORD):
+        decode_nested(bad)
+
+
+def test_decode_nested_rejects_corrupt_deepest_level_only():
+    strings, state = encode_nested(_half_tree(3), 16)
+    assert state.lengths[4] == 4
+    bad = strings[:2] + [_corrupt(strings[2], 0, [1, -1, 1, -1])]
+    with pytest.raises(NotCodewordError, match=NOT_CODEWORD):
+        decode_nested(bad)
+
+
+def test_decode_batch_rejects_one_trees_corrupt_middle_level():
+    families = [encode_nested(random_angle_tree(3, np.random.default_rng(i)), 16)[0] for i in range(2)]
+    strings, state = encode_nested(_half_tree(3), 16)
+    assert to_text(strings[1]) == "----++++" * 2
+    families.insert(1, strings)
+    m, n, lengths = nested._decode_trees(families, 16)
+    assert np.array_equal(m[1], state.m) and np.array_equal(n[1], state.n)
+    families[1] = [strings[0], _corrupt(strings[1], 0, [1, -1] * 4), strings[2]]
+    with pytest.raises(NotCodewordError, match=NOT_CODEWORD):
+        nested._decode_trees(families, 16)
+
+
+def test_decode_nested_length_mismatch_is_reported_first():
+    strings, _ = encode_nested(_half_tree(2), 16)
+    bad = [_corrupt(strings[0], 0, [1, -1] * 8), BitString([1, -1] * 4)]
+    with pytest.raises(ValueError, match="share one length") as excinfo:
+        decode_nested(bad)
+    assert excinfo.type is ValueError
+
+
 # Levels of the nested codec: (l, m, n) per segment, absent (l = 0),
 # classical (l = 1) and odd-length segments included.
 segments = st.integers(0, 12).flatmap(
@@ -215,6 +267,29 @@ def test_level_codeword_matches_single_segment_codec(segs):
     assert got.dtype == np.int8
     assert np.array_equal(got, np.concatenate(expected))
     assert_decode_matches_single_segment_codec(got, lengths)
+
+
+@given(st.integers(1, 8), st.integers(1, 32), st.integers(0, 2**32 - 1))
+@settings(max_examples=100)
+def test_encode_nested_strings_are_level_codewords_of_heap_slices(depth, half_L, seed):
+    # Phases span several turns either side of [0, 2pi), with exact turns mixed in.
+    L = 2 * half_L
+    rng = np.random.default_rng(seed)
+    tree = random_angle_tree(depth, rng)
+    turns = rng.choice([-2.0, -1.0, 0.0, 1.0, 2.0], tree.phis.size)
+    phis = np.where(rng.random(tree.phis.size) < 0.2, turns, rng.uniform(-3, 3, tree.phis.size))
+    tree = AngleTree(depth, tree.thetas, TWO_PI * phis)
+    strings, state = encode_nested(tree, L)
+    for d, string in enumerate(strings, start=1):
+        sl = state.level_slice(d)
+        assert np.array_equal(string.values, _level_codeword(state.lengths[sl], state.m[sl], state.n[sl]))
+    for k in range(1, 1 << depth):
+        l, m = int(state.lengths[k]), int(state.m[k])
+        if 0 < m < l:  # scalar oracle for the phase: qubit.quantise's n rule
+            assert state.n[k] == quantise(float(tree.thetas[k]), float(tree.phis[k]), l).n
+        else:
+            assert state.n[k] == 0
+    assert decode_nested(strings) == state
 
 
 @given(levels, st.data())

@@ -144,6 +144,20 @@ def test_built_operators_are_read_only_and_canonical(L):
         assert BitString(out.values) == out
 
 
+BUILDERS = [factory for factory, _ in GENERATORS.values()] + [
+    identity_op, negation_op, verify_quaternion, verify_spin_identities, self_similar_split,
+]
+
+
+@pytest.mark.parametrize("L", [2**63, 2**64, 2**641], ids=["2^63", "2^64", "2^641"])
+def test_operators_beyond_int64_are_refused(L):
+    for build in BUILDERS:
+        with pytest.raises(ValueError, match=r"^operator needs L < 2\^63 \(int64 limit\)"):
+            build(L)
+    with pytest.raises(ValueError, match=r"^string needs L in \[1, 2\^63\) \(int64 limit\)"):
+        iota(L, 1)
+
+
 @given(st.integers(1, 32), st.data())
 def test_compose_of_random_public_operators_is_canonical(L, data):
     signs = st.lists(st.sampled_from([1, -1]), min_size=L, max_size=L)
