@@ -7,8 +7,7 @@ bits each: string d concatenates, in node order, one codeword per depth-d
 node, where a node's segment length equals the +1 count (m) or -1 count of
 its parent segment.  Zero-length segments are absent branches; length-1
 segments are classical bits (m in {0, 1}, n = 0).  Only the length
-recurrence goes level by level: heap order is string order, so the phases,
-codewords and the decoder's codeword check run once per family, on all nodes.
+recurrence walks the levels; all else runs once per family, in heap order.
 
 Capacity counting: the N strings hold L*N bits while the state has
 2^(N+1) - 2 real degrees of freedom, which bounds the usable qubit number
@@ -155,14 +154,18 @@ class NestedState:
 
 
 def _run_table(lengths: np.ndarray, m: np.ndarray, n: np.ndarray):
-    # Four (sign, run) entries per segment, in segment order, of the codewords
-    # cyc(iota(l, m), l//2 + n).  The +1 block starts at a = -(l//2 + n) mod l
-    # and w = max(a + m - l, 0) of it wraps past the segment end, so the runs
-    # are +1 x w, -1 x (a - w), +1 x (m - w), -1 x (l - a - m + w).
+    # (sign, run) table of the codewords cyc(iota(l, m), l//2 + n), three runs
+    # per segment.  The +1 block starts at a = -(l//2 + n) mod l and wraps
+    # past the segment end iff a + m > l.  No wrap: -1 x a, +1 x m,
+    # -1 x (l - a - m); wrap: +1 x (a + m - l), -1 x (l - m), +1 x (l - a).
     a = -(lengths // 2 + n) % np.maximum(lengths, 1)
-    w = np.maximum(a + m - lengths, 0)
-    runs = np.column_stack((w, a - w, m - w, lengths - a - m + w))
-    return np.tile(np.array([1, -1, 1, -1], dtype=np.int8), lengths.size), runs.ravel()
+    wrap = a + m > lengths
+    first = np.where(wrap, a + m - lengths, a)
+    middle = np.where(wrap, lengths - m, m)
+    sign = np.where(wrap, 1, -1).astype(np.int8)
+    signs = np.column_stack((sign, -sign, sign))
+    runs = np.column_stack((first, middle, lengths - first - middle))
+    return signs.ravel(), runs.ravel()
 
 
 def _level_codeword(lengths: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -208,12 +211,11 @@ def _decode_level(values: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _walk_levels(depth: int, L: int, level_m, trees: int = 1):
-    # (trees, 2^depth) heap arrays m and lengths of `trees` trees, root down,
-    # by l_2k = m_k, l_2k+1 = l_k - m_k: the one recurrence that must go level
-    # by level.  level_m(d, lengths) gives the depth-d m for the depth-d
-    # lengths of every tree, flattened tree-major.  Every level covers exactly
-    # L bits, so its boundaries are segment starts, and the callers do the
-    # rest once over all nodes in heap order, which is the strings' order.
+    # (trees, 2^depth) heap arrays m and lengths of `trees` trees, root down, by
+    # l_2k = m_k, l_2k+1 = l_k - m_k.  level_m(d, lengths) gives the depth-d m
+    # for the depth-d lengths of every tree, flattened tree-major.  Only this
+    # recurrence goes level by level: each level covers L bits, so the callers
+    # do the rest once over all nodes in heap order, the strings' order.
     size = 1 << depth
     m = np.zeros((trees, size), dtype=np.int64)
     lengths = np.zeros((trees, size), dtype=np.int64)
@@ -233,29 +235,27 @@ def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState
     if not 2 <= L < 1 << 63 or L % 2:
         raise ValueError(f"encoding needs even L in [2, 2^63) (int64 limit), got L={L}")
     # Vector form of qubit.quantise with the same half-down tie rule.
-    weight = np.cos(tree.thetas[1:] / 2.0) ** 2
+    weight = np.cos(tree.thetas / 2.0) ** 2
 
     def level_m(d: int, lengths: np.ndarray):
-        m = np.ceil(lengths * weight[(1 << (d - 1)) - 1 : (1 << d) - 1] - 0.5).astype(np.int64)
+        m = np.ceil(lengths * weight[1 << (d - 1) : 1 << d] - 0.5).astype(np.int64)
         return np.clip(m, 0, lengths)
 
     m, lengths = (heap[0] for heap in _walk_levels(tree.depth, L, level_m))
     # np.mod returns phases in [0, 2pi) unchanged, so only the others pay for it.
-    phis, l = tree.phis[1:], lengths[1:]
+    phis = tree.phis
     frac = np.mod(phis, TWO_PI, out=phis.copy(), where=(phis < 0) | (phis >= TWO_PI)) / TWO_PI
-    n = np.zeros_like(m)
-    n[1:] = np.mod(np.ceil(l * frac - 0.5).astype(np.int64), np.maximum(l, 1))
-    n[(m == 0) | (m == lengths)] = 0  # degenerate or absent (m <= l)
-    signs, runs = _run_table(lengths, m, n)  # level d's runs: [4 * 2^(d-1), 4 * 2^d)
-    cuts = [4 << d for d in range(tree.depth + 1)]
+    n = np.mod(np.ceil(lengths * frac - 0.5).astype(np.int64), np.maximum(lengths, 1))
+    n[(m == 0) | (m == lengths)] = 0  # degenerate, absent (m <= l) or slot 0
+    signs, runs = _run_table(lengths, m, n)  # level d's runs: [3 * 2^(d-1), 3 * 2^d)
+    cuts = [3 << d for d in range(tree.depth + 1)]
     strings = [BitString._trusted(np.repeat(signs[a:b], runs[a:b])) for a, b in zip(cuts, cuts[1:])]
     return strings, NestedState(tree.depth, L, m, n, lengths)
 
 
 def _decode_trees(families: Sequence[Sequence[BitString]], L: int):
-    # Heap arrays m, n, lengths of every family's decoded tree.  The walk
-    # counts +1s; one codeword check covers the families' bits, concatenated
-    # tree-major like the heap rows (slot 0 is an absent segment).
+    # Heap arrays m, n, lengths of every family's decoded tree.  The walk counts
+    # +1s; one codeword check covers all bits, tree-major like the heap rows.
     def level_m(d: int, lengths: np.ndarray):
         return _plus_counts(np.concatenate([strings[d - 1].values for strings in families]), lengths)
 

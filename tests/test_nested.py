@@ -183,7 +183,7 @@ def _half_tree(depth):
 
 
 def test_decode_nested_rejects_corrupt_root_level_only():
-    strings, state = encode_nested(_half_tree(3), 16)
+    strings, _ = encode_nested(_half_tree(3), 16)
     assert to_text(strings[0]) == "--------++++++++"
     bad = [_corrupt(strings[0], 0, [1, -1] * 8)] + strings[1:]  # same m = 8 at the root
     with pytest.raises(NotCodewordError, match=NOT_CODEWORD):
