@@ -7,7 +7,10 @@ bits each: string d concatenates, in node order, one codeword per depth-d
 node, where a node's segment length equals the +1 count (m) or -1 count of
 its parent segment.  Zero-length segments are absent branches; length-1
 segments are classical bits (m in {0, 1}, n = 0).  Only the length
-recurrence walks the levels; all else runs once per family, in heap order.
+recurrence walks the levels; all else runs once per family, in heap order,
+and over live (l > 0) segments only.  The saturation sweep scores each tree on
+the quantised state's support: there np.vdot's terms are the dense reference's,
+elsewhere they are +-0 either way, so the fidelity is the same float.
 
 Capacity counting: the N strings hold L*N bits while the state has
 2^(N+1) - 2 real degrees of freedom, which bounds the usable qubit number
@@ -29,6 +32,7 @@ _MASK64 = (1 << 64) - 1
 _MAX_DENSE_DEPTH = 24
 _BATCH_BYTES = 1 << 18
 SATURATION_PHASES = ("draw", "encode", "decode", "amplitudes", "fidelity")
+_RUN_SIGNS = np.array([[-1, 1, -1], [1, -1, 1]], dtype=np.int8)  # by wrap
 
 
 def dof_count(N: int) -> int:
@@ -160,12 +164,11 @@ def _run_table(lengths: np.ndarray, m: np.ndarray, n: np.ndarray):
     # -1 x (l - a - m); wrap: +1 x (a + m - l), -1 x (l - m), +1 x (l - a).
     a = -(lengths // 2 + n) % np.maximum(lengths, 1)
     wrap = a + m > lengths
-    first = np.where(wrap, a + m - lengths, a)
-    middle = np.where(wrap, lengths - m, m)
-    sign = np.where(wrap, 1, -1).astype(np.int8)
-    signs = np.column_stack((sign, -sign, sign))
-    runs = np.column_stack((first, middle, lengths - first - middle))
-    return signs.ravel(), runs.ravel()
+    runs = np.empty((lengths.size, 3), dtype=np.int64)
+    runs[:, 0] = np.where(wrap, a + m - lengths, a)
+    runs[:, 1] = np.where(wrap, lengths - m, m)
+    runs[:, 2] = lengths - runs[:, 0] - runs[:, 1]
+    return _RUN_SIGNS.take(wrap, axis=0).ravel(), runs.ravel()
 
 
 def _level_codeword(lengths: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -175,10 +178,10 @@ def _level_codeword(lengths: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.nda
 
 def _plus_counts(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     # +1 count of each of the consecutive segments that tile values.
-    starts = np.cumsum(lengths) - lengths
     live = np.flatnonzero(lengths)
+    l = lengths[live]
     m = np.zeros_like(lengths)
-    m[live] = np.add.reduceat(values == 1, starts[live], dtype=np.int64)
+    m[live] = np.add.reduceat(values == 1, np.cumsum(l) - l, dtype=np.int64)
     return m
 
 
@@ -188,20 +191,23 @@ def _segment_phases(values: np.ndarray, lengths: np.ndarray, m: np.ndarray) -> n
     # its adjacent bit pairs differ: with the wrap-around pair that count is
     # even, and it is at most 2 iff the +1s form one cyclic block.  The block
     # start, which fixes n, is the one internal -1 -> +1 edge, or the segment
-    # start when there is none.
-    starts = np.cumsum(lengths) - lengths
+    # start when there is none.  All of it runs over live segments only.
     live = np.flatnonzero(lengths)
+    l = lengths[live]
+    starts = np.cumsum(l) - l
     edges = np.flatnonzero(values[1:] != values[:-1]) + 1
-    seg = live[np.searchsorted(starts[live], edges, side="right") - 1]
+    seg = np.searchsorted(starts, edges, side="right") - 1
     internal = edges != starts[seg]
     edges, seg = edges[internal], seg[internal]
-    if np.any(np.bincount(seg, minlength=lengths.size) > 2):
+    if np.any(np.bincount(seg, minlength=live.size) > 2):
         raise NotCodewordError("segment is not a cyclic shift of a contiguous +1 block")
     block = starts.copy()
     rising = values[edges] == 1
     block[seg[rising]] = edges[rising]
-    mixed = (m > 0) & (m < lengths)
-    return np.where(mixed, (starts - block - lengths // 2) % np.maximum(lengths, 1), 0)
+    mixed = np.flatnonzero((m[live] > 0) & (m[live] < l))
+    n = np.zeros_like(lengths)
+    n[live[mixed]] = (starts[mixed] - block[mixed] - l[mixed] // 2) % l[mixed]
+    return n
 
 
 def _decode_level(values: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -239,16 +245,21 @@ def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState
 
     def level_m(d: int, lengths: np.ndarray):
         m = np.ceil(lengths * weight[1 << (d - 1) : 1 << d] - 0.5).astype(np.int64)
-        return np.clip(m, 0, lengths)
+        np.maximum(m, 0, out=m)
+        return np.minimum(m, lengths, out=m)
 
     m, lengths = (heap[0] for heap in _walk_levels(tree.depth, L, level_m))
-    # np.mod returns phases in [0, 2pi) unchanged, so only the others pay for it.
-    phis = tree.phis
-    frac = np.mod(phis, TWO_PI, out=phis.copy(), where=(phis < 0) | (phis >= TWO_PI)) / TWO_PI
-    n = np.mod(np.ceil(lengths * frac - 0.5).astype(np.int64), np.maximum(lengths, 1))
-    n[(m == 0) | (m == lengths)] = 0  # degenerate, absent (m <= l) or slot 0
-    signs, runs = _run_table(lengths, m, n)  # level d's runs: [3 * 2^(d-1), 3 * 2^d)
-    cuts = [3 << d for d in range(tree.depth + 1)]
+    # Phases and runs of live nodes (l > 0) only: the others keep n = 0 and emit
+    # no bits.  np.mod returns phases in [0, 2pi) unchanged, so only the others pay.
+    live = np.flatnonzero(lengths)
+    l, ml, phis = lengths[live], m[live], tree.phis[live]
+    frac = np.mod(phis, TWO_PI, out=phis, where=(phis < 0) | (phis >= TWO_PI)) / TWO_PI
+    nl = np.mod(np.ceil(l * frac - 0.5).astype(np.int64), l)
+    nl[(ml == 0) | (ml == l)] = 0  # degenerate
+    n = np.zeros_like(m)
+    n[live] = nl
+    signs, runs = _run_table(l, ml, nl)  # level d's runs: [cuts[d - 1], cuts[d])
+    cuts = 3 * np.searchsorted(live, [1 << d for d in range(tree.depth + 1)])
     strings = [BitString._trusted(np.repeat(signs[a:b], runs[a:b])) for a, b in zip(cuts, cuts[1:])]
     return strings, NestedState(tree.depth, L, m, n, lengths)
 
@@ -279,7 +290,7 @@ def _expand(factors, *heaps: np.ndarray) -> np.ndarray:
     # Dense (trees, 2^depth) vectors of product-form trees.  factors(*heaps)
     # turns the trees' (trees, 2^depth) heap arrays into branch factors of the
     # same shape: the + child of node k multiplies by cos_half[k] and the -
-    # child by sin_half[k] * phase[k].
+    # child by sin_half[k], then by phase[k].
     depth = heaps[0].shape[1].bit_length() - 1
     if depth > _MAX_DENSE_DEPTH:
         raise ValueError(f"dense amplitudes limited to depth {_MAX_DENSE_DEPTH}")
@@ -288,20 +299,23 @@ def _expand(factors, *heaps: np.ndarray) -> np.ndarray:
     for d in range(1, depth + 1):
         lo, hi = 1 << (d - 1), 1 << d
         nxt = np.empty((vec.shape[0], 2 * vec.shape[1]), dtype=np.complex128)
-        nxt[:, 0::2] = vec * cos_half[:, lo:hi]
-        nxt[:, 1::2] = vec * sin_half[:, lo:hi] * phase[:, lo:hi]
+        np.multiply(vec, cos_half[:, lo:hi], out=nxt[:, 0::2])
+        minus = np.multiply(vec, sin_half[:, lo:hi], out=nxt[:, 1::2])
+        minus *= phase[:, lo:hi]
         vec = nxt
     return vec
 
 
 def _state_factors(m: np.ndarray, n: np.ndarray, lengths: np.ndarray):
-    # Branch factors of quantised heap arrays; absent nodes (l = 0) give 0.
+    # Branch factors of quantised heap arrays; absent nodes (l = 0) give 0, and
+    # the phase is taken only where n != 0 (e^0 = 1 exactly).
     live = lengths > 0
-    safe = np.maximum(lengths, 1)
-    weight = np.where(live, m / safe, 0.0)
-    sin_half = np.sqrt(np.where(live, 1.0 - weight, 0.0))
-    phase = np.exp(2j * np.pi * np.where(live, n / safe, 0.0))
-    return np.sqrt(weight), sin_half, phase
+    weight = np.divide(m, lengths, out=np.zeros(m.shape), where=live)
+    sin_half = np.subtract(1.0, weight, out=np.zeros(m.shape), where=live)
+    phase = np.ones(m.shape, dtype=np.complex128)
+    turn = n != 0
+    phase[turn] = np.exp(2j * np.pi * (n[turn] / lengths[turn]))
+    return np.sqrt(weight, out=weight), np.sqrt(sin_half, out=sin_half), phase
 
 
 def _tree_factors(thetas: np.ndarray, phis: np.ndarray):
@@ -322,6 +336,23 @@ def amplitudes(state: NestedState) -> np.ndarray:
 def amplitudes_of_tree(tree: AngleTree) -> np.ndarray:
     """Dense 2^N state vector of the continuum tree (the exact reference)."""
     return _expand(_tree_factors, tree.thetas[None], tree.phis[None])[0]
+
+
+def _support_amplitudes(trees: Sequence[AngleTree], m, n, lengths):
+    # Exact and quantised (trees, 2^N) vectors of a decoded batch; the exact
+    # factors are taken only where the quantised ones are nonzero (+ branch:
+    # m > 0, - branch: m < l), so the exact vector is 0 off the support.
+    def exact_factors(plus: np.ndarray, minus: np.ndarray):
+        thetas = np.stack([tree.thetas for tree in trees])
+        phis = np.stack([tree.phis for tree in trees])
+        cos_half, sin_half = np.zeros(thetas.shape), np.zeros(thetas.shape)
+        phase = np.zeros(thetas.shape, dtype=np.complex128)
+        cos_half[plus] = np.cos(thetas[plus] / 2.0)
+        sin_half[minus] = np.sin(thetas[minus] / 2.0)
+        phase[minus] = np.exp(1j * phis[minus])
+        return cos_half, sin_half, phase
+
+    return _expand(exact_factors, m > 0, m < lengths), _expand(_state_factors, m, n, lengths)
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -360,6 +391,11 @@ def saturation_experiment(
     Each tree is encoded alone; the trees of one N are decoded (one level
     walk, one codeword check) and expanded in batches whose size bounds
     memory; each tree's numbers, and so the rows, do not depend on the split.
+    The exact state's branch factors are computed only where the quantised
+    factor is nonzero and set to 0 elsewhere.  Where the quantised amplitude
+    is exactly 0 each term of the overlap is +-0 with or without that, and
+    adding +-0 leaves the sum unchanged (up to the sign of a zero, which |.|
+    drops), so every fidelity equals the dense reference's to the bit.
     When ``timings`` is a dict, the wall seconds spent in each phase of
     ``SATURATION_PHASES`` are added to it under the phase's name.
     """
@@ -390,10 +426,7 @@ def saturation_experiment(
             m, n, lengths = _decode_trees(families, L)
             min_seg = min(min_seg, int(lengths[:, 1 << (N - 1) :].min()))
             marks.append(time.perf_counter())
-            thetas = np.stack([tree.thetas for tree in trees])
-            phis = np.stack([tree.phis for tree in trees])
-            exact = _expand(_tree_factors, thetas, phis)
-            quantised = _expand(_state_factors, m, n, lengths)
+            exact, quantised = _support_amplitudes(trees, m, n, lengths)
             marks.append(time.perf_counter())
             fids[batch.start : batch.stop] = [fidelity(a, b) for a, b in zip(exact, quantised)]
             marks.append(time.perf_counter())

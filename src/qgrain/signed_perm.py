@@ -107,8 +107,12 @@ def _require_int64(L: int) -> None:
 
 
 def _identity(L: int) -> tuple[np.ndarray, np.ndarray]:
+    # The int8 signs come first: from 2^60 entries the int64 map exceeds
+    # numpy's size limit (a ValueError), while L < 2^63 bytes of signs fail
+    # to allocate as the MemoryError every other huge L gives.
     _require_int64(L)
-    return np.arange(L, dtype=np.int64), np.ones(L, dtype=np.int8)
+    signs = np.ones(L, dtype=np.int8)
+    return np.arange(L, dtype=np.int64), signs
 
 
 def identity_op(L: int) -> SignedPermutation:

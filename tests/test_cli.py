@@ -37,17 +37,6 @@ def test_encode_odd_length_exits_2(capsys):
     assert "error:" in err
 
 
-def test_encode_unallocatable_length_exits_2(capsys):
-    # 2^62 bits cannot be allocated, so the array allocation fails at once.
-    code, out, err = run_cli(
-        capsys, "encode", "--m", "1", "--n", "0", "--L", "4611686018427387904"
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "Traceback" not in err
-
-
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -294,12 +283,22 @@ def test_saturate_granularity_beyond_int64_exits_2(capsys, L):
     assert "2^63" in err and "Traceback" not in err
 
 
-def test_saturate_unallocatable_granularity_exits_2(capsys):
-    # 2^62 is inside the int64 limit, so the string allocation is what fails.
-    code, out, err = run_cli(capsys, "saturate", "--L", str(2**62), "--n", "1..2", "--samples", "2")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["encode", "--m", "1", "--n", "0", "--L", str(2**62)],
+        ["pauli-verify", "--L", str(2**62)],
+        ["saturate", "--L", str(2**62), "--n", "1..2", "--samples", "2"],
+    ],
+    ids=["encode", "pauli-verify", "saturate"],
+)
+def test_unallocatable_length_exits_2_as_memory_error(capsys, argv):
+    # 2^62 is inside the int64 limit, so the first allocation is what fails,
+    # and every command words that failure the same way.
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith("error: input too large for available memory")
-    assert err.count("\n") == 1
+    assert err.startswith("error: input too large for available memory: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_saturate_bad_range_exits_2(capsys):

@@ -479,6 +479,7 @@ def _per_batch(L, N):
         (4096, 14, 14, 3, 1),
         (2, 1, 14, 5, 3),
         (64, 1, 6, 40, 9),
+        (16, 1, 12, 8, 5),  # past n_max(16) = 5 almost every deep branch is absent
     ],
 )
 def test_saturation_batches_match_per_tree_reference(L, n_min, n_max_arg, samples, seed):
@@ -487,6 +488,32 @@ def test_saturation_batches_match_per_tree_reference(L, n_min, n_max_arg, sample
     assert saturation_experiment(L, n_min, n_max_arg, samples, seed) == _per_tree_rows(
         L, n_min, n_max_arg, samples, seed
     )
+
+
+_OFF_TURN_PHASES = st.one_of(
+    st.floats(-40.0, 0.0, exclude_max=True),
+    st.floats(TWO_PI, 40.0),
+    st.sampled_from([-TWO_PI, 2 * TWO_PI]),
+)
+
+
+@given(st.integers(1, 7), st.sampled_from([2, 4, 16, 64, 4096]), st.data())
+@settings(max_examples=100)
+def test_support_overlap_equals_dense_fidelity(depth, L, data):
+    # Inner nodes at theta in {0, pi} cut whole subtrees; no phase lies in [0, 2pi).
+    leaves = 1 << (depth - 1)
+    cuts = st.sampled_from([0.0, math.pi])
+    thetas = data.draw(st.lists(cuts, min_size=leaves - 1, max_size=leaves - 1))
+    thetas += data.draw(st.lists(st.floats(0.0, math.pi), min_size=leaves, max_size=leaves))
+    phis = data.draw(st.lists(_OFF_TURN_PHASES, min_size=2 * leaves - 1, max_size=2 * leaves - 1))
+    tree = AngleTree.from_nodes(depth, list(zip(thetas, phis)))
+    strings, _ = encode_nested(tree, L)
+    m, n, lengths = nested._decode_trees([strings], L)
+    exact, quantised = (vec[0] for vec in nested._support_amplitudes([tree], m, n, lengths))
+    dense_exact, dense_quantised = amplitudes_of_tree(tree), amplitudes(decode_nested(strings))
+    assert np.array_equal(quantised, dense_quantised)
+    assert np.all((exact == dense_exact) | ((exact == 0) & (quantised == 0)))
+    assert fidelity(exact, quantised) == fidelity(dense_exact, dense_quantised)
 
 
 def test_saturation_timings_cover_every_phase():
@@ -509,3 +536,18 @@ def test_saturation_memory_is_flat_in_samples(N):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_saturation_memory_near_the_bound():
+    # One N = 14 tree per batch, 4 batches, about a fifth of the nodes live.  The
+    # codec's temporaries are live-sized and the exact factors are taken on the
+    # quantised support only, so the traced peak stays under 2.75 MiB (with
+    # heap-sized temporaries throughout it was 3.02 MiB).
+    saturation_experiment(4096, 14, 14, 4, 0)  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        saturation_experiment(4096, 14, 14, 4, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.75 * 2**20
