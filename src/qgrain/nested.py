@@ -249,16 +249,13 @@ def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState
         return np.minimum(m, lengths, out=m)
 
     m, lengths = (heap[0] for heap in _walk_levels(tree.depth, L, level_m))
-    # Phases and runs of live nodes (l > 0) only: the others keep n = 0 and emit
-    # no bits.  np.mod returns phases in [0, 2pi) unchanged, so only the others pay.
-    live = np.flatnonzero(lengths)
-    l, ml, phis = lengths[live], m[live], tree.phis[live]
-    frac = np.mod(phis, TWO_PI, out=phis, where=(phis < 0) | (phis >= TWO_PI)) / TWO_PI
-    nl = np.mod(np.ceil(l * frac - 0.5).astype(np.int64), l)
-    nl[(ml == 0) | (ml == l)] = 0  # degenerate
-    n = np.zeros_like(m)
-    n[live] = nl
-    signs, runs = _run_table(l, ml, nl)  # level d's runs: [cuts[d - 1], cuts[d])
+    # np.mod returns phases in [0, 2pi) unchanged, so only the others pay for it.
+    phis = tree.phis
+    frac = np.mod(phis, TWO_PI, out=phis.copy(), where=(phis < 0) | (phis >= TWO_PI)) / TWO_PI
+    n = np.mod(np.ceil(lengths * frac - 0.5).astype(np.int64), np.maximum(lengths, 1))
+    n[(m == 0) | (m == lengths)] = 0  # degenerate, absent (m <= l) or slot 0
+    live = np.flatnonzero(lengths)  # absent nodes would emit empty runs
+    signs, runs = _run_table(lengths[live], m[live], n[live])  # level d's: [cuts[d - 1], cuts[d])
     cuts = 3 * np.searchsorted(live, [1 << d for d in range(tree.depth + 1)])
     strings = [BitString._trusted(np.repeat(signs[a:b], runs[a:b])) for a, b in zip(cuts, cuts[1:])]
     return strings, NestedState(tree.depth, L, m, n, lengths)
@@ -307,15 +304,18 @@ def _expand(factors, *heaps: np.ndarray) -> np.ndarray:
 
 
 def _state_factors(m: np.ndarray, n: np.ndarray, lengths: np.ndarray):
-    # Branch factors of quantised heap arrays; absent nodes (l = 0) give 0, and
-    # the phase is taken only where n != 0 (e^0 = 1 exactly).
-    live = lengths > 0
-    weight = np.divide(m, lengths, out=np.zeros(m.shape), where=live)
-    sin_half = np.subtract(1.0, weight, out=np.zeros(m.shape), where=live)
+    # Branch factors of quantised heap arrays, computed at live nodes (l > 0)
+    # only; absent nodes give 0, and the phase is left at e^0 = 1 where n = 0.
+    # The ravel() views take flat indices (.flat would be ~7x slower).
+    live = np.flatnonzero(lengths)
+    weight = m.ravel()[live] / lengths.ravel()[live]
+    cos_half, sin_half = np.zeros(m.shape), np.zeros(m.shape)
+    cos_half.ravel()[live] = np.sqrt(weight)
+    sin_half.ravel()[live] = np.sqrt(1.0 - weight)
     phase = np.ones(m.shape, dtype=np.complex128)
-    turn = n != 0
-    phase[turn] = np.exp(2j * np.pi * (n[turn] / lengths[turn]))
-    return np.sqrt(weight, out=weight), np.sqrt(sin_half, out=sin_half), phase
+    turn = np.flatnonzero(n)
+    phase.ravel()[turn] = np.exp(2j * np.pi * (n.ravel()[turn] / lengths.ravel()[turn]))
+    return cos_half, sin_half, phase
 
 
 def _tree_factors(thetas: np.ndarray, phis: np.ndarray):
@@ -342,17 +342,18 @@ def _support_amplitudes(trees: Sequence[AngleTree], m, n, lengths):
     # Exact and quantised (trees, 2^N) vectors of a decoded batch; the exact
     # factors are taken only where the quantised ones are nonzero (+ branch:
     # m > 0, - branch: m < l), so the exact vector is 0 off the support.
-    def exact_factors(plus: np.ndarray, minus: np.ndarray):
-        thetas = np.stack([tree.thetas for tree in trees])
-        phis = np.stack([tree.phis for tree in trees])
-        cos_half, sin_half = np.zeros(thetas.shape), np.zeros(thetas.shape)
-        phase = np.zeros(thetas.shape, dtype=np.complex128)
-        cos_half[plus] = np.cos(thetas[plus] / 2.0)
-        sin_half[minus] = np.sin(thetas[minus] / 2.0)
-        phase[minus] = np.exp(1j * phis[minus])
+    def exact_factors(m: np.ndarray, lengths: np.ndarray):
+        thetas = np.concatenate([tree.thetas for tree in trees])
+        phis = np.concatenate([tree.phis for tree in trees])
+        plus, minus = np.flatnonzero(m > 0), np.flatnonzero(m < lengths)
+        cos_half, sin_half = np.zeros(m.shape), np.zeros(m.shape)
+        phase = np.zeros(m.shape, dtype=np.complex128)
+        cos_half.ravel()[plus] = np.cos(thetas[plus] / 2.0)
+        sin_half.ravel()[minus] = np.sin(thetas[minus] / 2.0)
+        phase.ravel()[minus] = np.exp(1j * phis[minus])
         return cos_half, sin_half, phase
 
-    return _expand(exact_factors, m > 0, m < lengths), _expand(_state_factors, m, n, lengths)
+    return _expand(exact_factors, m, lengths), _expand(_state_factors, m, n, lengths)
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
