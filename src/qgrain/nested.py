@@ -8,9 +8,9 @@ node, where a node's segment length equals the +1 count (m) or -1 count of
 its parent segment.  Zero-length segments are absent branches; length-1
 segments are classical bits (m in {0, 1}, n = 0).  Only the length
 recurrence walks the levels; all else runs once per family, in heap order,
-and over live (l > 0) segments only.  The saturation sweep scores each tree on
-the quantised state's support: there np.vdot's terms are the dense reference's,
-elsewhere they are +-0 either way, so the fidelity is the same float.
+and the runs and codeword checks cover live (l > 0) segments only.  The
+saturation sweep takes the exact state only on the quantised state's support:
+off it each overlap term is +-0 either way, so the fidelity is the same float.
 
 Capacity counting: the N strings hold L*N bits while the state has
 2^(N+1) - 2 real degrees of freedom, which bounds the usable qubit number
@@ -32,7 +32,6 @@ _MASK64 = (1 << 64) - 1
 _MAX_DENSE_DEPTH = 24
 _BATCH_BYTES = 1 << 18
 SATURATION_PHASES = ("draw", "encode", "decode", "amplitudes", "fidelity")
-_RUN_SIGNS = np.array([[-1, 1, -1], [1, -1, 1]], dtype=np.int8)  # by wrap
 
 
 def dof_count(N: int) -> int:
@@ -168,7 +167,8 @@ def _run_table(lengths: np.ndarray, m: np.ndarray, n: np.ndarray):
     runs[:, 0] = np.where(wrap, a + m - lengths, a)
     runs[:, 1] = np.where(wrap, lengths - m, m)
     runs[:, 2] = lengths - runs[:, 0] - runs[:, 1]
-    return _RUN_SIGNS.take(wrap, axis=0).ravel(), runs.ravel()
+    signs = np.array([[-1, 1, -1], [1, -1, 1]], dtype=np.int8).take(wrap, axis=0)  # row by wrap
+    return signs.ravel(), runs.ravel()
 
 
 def _level_codeword(lengths: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.ndarray:
