@@ -307,13 +307,13 @@ def _state_factors(m: np.ndarray, n: np.ndarray, lengths: np.ndarray):
     # Branch factors of quantised heap arrays, computed at live nodes (l > 0)
     # only; absent nodes give 0, and the phase is left at e^0 = 1 where n = 0.
     # The ravel() views take flat indices (.flat would be ~7x slower).
-    live = np.flatnonzero(lengths)
+    live = np.flatnonzero(lengths > 0)
     weight = m.ravel()[live] / lengths.ravel()[live]
     cos_half, sin_half = np.zeros(m.shape), np.zeros(m.shape)
     cos_half.ravel()[live] = np.sqrt(weight)
     sin_half.ravel()[live] = np.sqrt(1.0 - weight)
     phase = np.ones(m.shape, dtype=np.complex128)
-    turn = np.flatnonzero(n)
+    turn = live[n.ravel()[live] != 0]
     phase.ravel()[turn] = np.exp(2j * np.pi * (n.ravel()[turn] / lengths.ravel()[turn]))
     return cos_half, sin_half, phase
 
