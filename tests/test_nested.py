@@ -390,6 +390,10 @@ def test_amplitudes_examples():
     _, state = encode_nested(uniform, 16)
     assert np.allclose(amplitudes(state), np.full(8, 1 / (2 * math.sqrt(2))), atol=1e-12)
 
+    # An absent branch (l = 0) gives amplitude zero whatever n it carries.
+    m, n, lengths = np.array([0, 4, 0, 0]), np.array([0, 0, 0, 3]), np.array([0, 4, 4, 0])
+    assert amplitudes(nested.NestedState(2, 4, m, n, lengths)).tolist() == [0, 1, 0, 0]
+
 
 @given(st.integers(1, 7), st.integers(1, 2**32 - 1))
 @settings(max_examples=30)
@@ -540,9 +544,9 @@ def test_saturation_memory_is_flat_in_samples(N):
 
 def test_saturation_memory_near_the_bound():
     # One N = 14 tree per batch, 4 batches, about a fifth of the nodes live.  The
-    # codec's temporaries are live-sized and the exact factors are taken on the
-    # quantised support only, so the traced peak stays under 2.75 MiB (with
-    # heap-sized temporaries throughout it was 3.02 MiB).
+    # run tables and factor gathers are live-sized and the exact factors are
+    # taken on the quantised support only, so the traced peak stays under
+    # 2.75 MiB (3.02 MiB when every such temporary was heap-sized).
     saturation_experiment(4096, 14, 14, 4, 0)  # first-call allocations out of the way
     tracemalloc.start()
     try:
