@@ -11,6 +11,10 @@ recurrence walks the levels; all else runs once per family, in heap order,
 and the runs and codeword checks cover live (l > 0) segments only.  The
 saturation sweep takes the exact state only on the quantised state's support:
 off it each overlap term is +-0 either way, so the fidelity is the same float.
+It draws, decodes and expands each sample once, at the deepest N: a shallower
+tree is the heap prefix of the deeper one, its strings are the first strings
+of the deeper family, and its dense vector is an intermediate level of the
+deeper expansion.
 
 Capacity counting: the N strings hold L*N bits while the state has
 2^(N+1) - 2 real degrees of freedom, which bounds the usable qubit number
@@ -19,6 +23,7 @@ Capacity counting: the N strings hold L*N bits while the state has
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
@@ -236,10 +241,15 @@ def _walk_levels(depth: int, L: int, level_m, trees: int = 1):
     return m, lengths
 
 
-def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState]:
-    """Quantise a depth-N tree at granularity L and emit its N strings."""
+def _check_granularity(L: int) -> None:
+    # Segment lengths are int64 and the root codeword halves L.
     if not 2 <= L < 1 << 63 or L % 2:
         raise ValueError(f"encoding needs even L in [2, 2^63) (int64 limit), got L={L}")
+
+
+def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState]:
+    """Quantise a depth-N tree at granularity L and emit its N strings."""
+    _check_granularity(L)
     # Vector form of qubit.quantise with the same half-down tie rule.
     weight = np.cos(tree.thetas / 2.0) ** 2
 
@@ -283,23 +293,29 @@ def decode_nested(strings: Sequence[BitString]) -> NestedState:
     return NestedState(len(strings), L, m[0], n[0], lengths[0])
 
 
-def _expand(factors, *heaps: np.ndarray) -> np.ndarray:
-    # Dense (trees, 2^depth) vectors of product-form trees.  factors(*heaps)
-    # turns the trees' (trees, 2^depth) heap arrays into branch factors of the
-    # same shape: the + child of node k multiplies by cos_half[k] and the -
-    # child by sin_half[k], then by phase[k].
-    depth = heaps[0].shape[1].bit_length() - 1
-    if depth > _MAX_DENSE_DEPTH:
-        raise ValueError(f"dense amplitudes limited to depth {_MAX_DENSE_DEPTH}")
-    cos_half, sin_half, phase = factors(*heaps)
+def _level_vectors(cos_half: np.ndarray, sin_half: np.ndarray, phase: np.ndarray):
+    # Yields the dense (trees, 2^d) vectors for d = 1 .. depth of product-form
+    # trees with (trees, 2^depth) heap branch factors: the + child of node k
+    # multiplies by cos_half[k] and the - child by sin_half[k], then by
+    # phase[k].  Level d's vector is that of the trees cut at depth d.
     vec = np.ones((cos_half.shape[0], 1), dtype=np.complex128)
-    for d in range(1, depth + 1):
+    for d in range(1, cos_half.shape[1].bit_length()):
         lo, hi = 1 << (d - 1), 1 << d
         nxt = np.empty((vec.shape[0], 2 * vec.shape[1]), dtype=np.complex128)
         np.multiply(vec, cos_half[:, lo:hi], out=nxt[:, 0::2])
         minus = np.multiply(vec, sin_half[:, lo:hi], out=nxt[:, 1::2])
         minus *= phase[:, lo:hi]
         vec = nxt
+        yield vec
+
+
+def _expand(factors, *heaps: np.ndarray) -> np.ndarray:
+    # Dense (trees, 2^depth) vectors of product-form trees; factors(*heaps)
+    # turns the trees' (trees, 2^depth) heap arrays into their branch factors.
+    if heaps[0].shape[1] > 1 << _MAX_DENSE_DEPTH:
+        raise ValueError(f"dense amplitudes limited to depth {_MAX_DENSE_DEPTH}")
+    for vec in _level_vectors(*factors(*heaps)):
+        pass
     return vec
 
 
@@ -338,10 +354,11 @@ def amplitudes_of_tree(tree: AngleTree) -> np.ndarray:
     return _expand(_tree_factors, tree.thetas[None], tree.phis[None])[0]
 
 
-def _support_amplitudes(trees: Sequence[AngleTree], m, n, lengths):
-    # Exact and quantised (trees, 2^N) vectors of a decoded batch; the exact
-    # factors are taken only where the quantised ones are nonzero (+ branch:
-    # m > 0, - branch: m < l), so the exact vector is 0 off the support.
+def _support_levels(trees: Sequence[AngleTree], m, n, lengths):
+    # Pairs of exact and quantised (trees, 2^d) vectors of a decoded batch, for
+    # d = 1 .. depth.  The exact factors are taken only where the quantised
+    # ones are nonzero (+ branch: m > 0, - branch: m < l), so the exact vector
+    # is 0 off the support.
     def exact_factors(m: np.ndarray, lengths: np.ndarray):
         thetas = np.concatenate([tree.thetas for tree in trees])
         phis = np.concatenate([tree.phis for tree in trees])
@@ -353,7 +370,7 @@ def _support_amplitudes(trees: Sequence[AngleTree], m, n, lengths):
         phase.ravel()[minus] = np.exp(1j * phis[minus])
         return cos_half, sin_half, phase
 
-    return _expand(exact_factors, m, lengths), _expand(_state_factors, m, n, lengths)
+    return zip(_level_vectors(*exact_factors(m, lengths)), _level_vectors(*_state_factors(m, n, lengths)))
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -372,6 +389,39 @@ class SaturationRow(NamedTuple):
     min_segment_len: int
 
 
+def _encode_cuts(tree: AngleTree, L: int, n_min: int) -> list[BitString]:
+    # encode_nested of the tree cut at each depth n_min .. tree.depth, one call
+    # each, checking that every family is the prefix of the next deeper one;
+    # returns the deepest.  Decoding it then decodes every cut: each level's
+    # lengths, m and n depend only on the strings above it.
+    shallower = None
+    for N in range(n_min, tree.depth + 1):
+        cut = tree if N == tree.depth else AngleTree(N, tree.thetas[: 1 << N], tree.phis[: 1 << N])
+        family = encode_nested(cut, L)[0]
+        if shallower is not None and family[: N - 1] != shallower:
+            raise RuntimeError(f"depth-{N - 1} strings are not a prefix of the depth-{N} strings")
+        shallower = family
+    return family
+
+
+def _median_and_p10(values: np.ndarray) -> tuple[float, float]:
+    # np.median(values) and np.percentile(values, 10), by numpy's own steps on
+    # the sorted values: the mean of the middle slice, and numpy's linear
+    # interpolation (_lerp) at (k - 1) * 0.1.  Bit-equal unless values hold
+    # both zeros, whose order sort and numpy's partition may not share;
+    # fidelities are never -0.0.  Both numpy functions import numpy.ma on
+    # first use, ~20 ms per CLI call.
+    s = np.sort(values)
+    if np.isnan(s[-1]):  # sort puts NaN last; numpy returns that element
+        return float(s[-1]), float(s[-1])
+    k = s.size
+    median = float(s[(k - 1) // 2 : k // 2 + 1].mean())
+    at = (k - 1) * 0.1
+    lo = math.floor(at)
+    a, b, t = float(s[lo]), float(s[min(lo + 1, k - 1)]), at - lo
+    return median, (b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+
 def saturation_experiment(
     L: int,
     n_min: int,
@@ -382,21 +432,26 @@ def saturation_experiment(
 ) -> list[SaturationRow]:
     """Fidelity of random trees after encode/decode, swept over qubit number.
 
-    For each N, draws ``samples`` random trees (sub-seed = seed XOR sample
-    index, one fresh generator per draw, so the output is independent of
-    evaluation order), quantises at granularity L, decodes the strings back
-    and compares the reconstructed state against the exact tree state.  Rows
-    report the median and 10th-percentile fidelity plus the smallest segment
-    length encountered.  ``encode_nested`` checks L: even, 2 <= L < 2^63.
+    Each sample draws one random tree of depth n_max (sub-seed = seed XOR
+    sample index, one fresh generator per sample, so the output is
+    independent of evaluation order); row N uses its cut at depth N, which is
+    exactly the depth-N tree the same generator draws.  Each cut is quantised
+    at granularity L and encoded, the strings are decoded back and the
+    reconstructed state is compared against the exact state of the cut.
+    Rows report the median and 10th-percentile fidelity plus the smallest
+    segment length encountered.  L must be even with 2 <= L < 2^63, as for
+    ``encode_nested``; it is checked before anything is drawn.
 
-    Each tree is encoded alone; the trees of one N are decoded (one level
-    walk, one codeword check) and expanded in batches whose size bounds
-    memory; each tree's numbers, and so the rows, do not depend on the split.
-    The exact state's branch factors are computed only where the quantised
-    factor is nonzero and set to 0 elsewhere.  Where the quantised amplitude
-    is exactly 0 each term of the overlap is +-0 with or without that, and
-    adding +-0 leaves the sum unchanged (up to the sign of a zero, which |.|
-    drops), so every fidelity equals the dense reference's to the bit.
+    Every cut is encoded alone, and each family is checked to be the prefix
+    of the next deeper one, so only the deepest family of a sample is decoded
+    and expanded: the rows read their levels off that one pass.  Samples run
+    in batches sized for the deepest N so that memory stays bounded; each
+    sample's numbers, and so the rows, do not depend on the split.  The exact
+    state's branch factors are computed only where the quantised factor is
+    nonzero and set to 0 elsewhere.  Where the quantised amplitude is exactly
+    0 each term of the overlap is +-0 with or without that, and adding +-0
+    leaves the sum unchanged (up to the sign of a zero, which |.| drops), so
+    every fidelity equals the dense reference's to the bit.
     When ``timings`` is a dict, the wall seconds spent in each phase of
     ``SATURATION_PHASES`` are added to it under the phase's name.
     """
@@ -406,39 +461,42 @@ def saturation_experiment(
         )
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    _check_granularity(L)
     spent = {} if timings is None else timings
-    rows = []
-    for N in range(n_min, n_max_arg + 1):
-        # A batch holds about _BATCH_BYTES: 1 byte per string bit and 16 per
-        # amplitude of each tree.
-        per_batch = max(1, _BATCH_BYTES // (L + (16 << N)))
-        fids = np.empty(samples)
-        min_seg = L
-        for start in range(0, samples, per_batch):
-            batch = range(start, min(start + per_batch, samples))
-            marks = [time.perf_counter()]
-            trees = [
-                random_angle_tree(N, np.random.default_rng((seed ^ i) & _MASK64))
-                for i in batch
-            ]
-            marks.append(time.perf_counter())
-            families = [encode_nested(tree, L)[0] for tree in trees]
-            marks.append(time.perf_counter())
-            m, n, lengths = _decode_trees(families, L)
-            min_seg = min(min_seg, int(lengths[:, 1 << (N - 1) :].min()))
-            marks.append(time.perf_counter())
-            exact, quantised = _support_amplitudes(trees, m, n, lengths)
-            marks.append(time.perf_counter())
-            fids[batch.start : batch.stop] = [fidelity(a, b) for a, b in zip(exact, quantised)]
-            marks.append(time.perf_counter())
-            for phase, begin, end in zip(SATURATION_PHASES, marks, marks[1:]):
-                spent[phase] = spent.get(phase, 0.0) + end - begin
-        rows.append(
-            SaturationRow(
-                N,
-                float(np.median(fids)),
-                float(np.percentile(fids, 10)),
-                min_seg,
-            )
-        )
-    return rows
+    last = time.perf_counter()
+
+    def lap(phase: str) -> None:
+        # Adds the wall time since the previous lap to the phase.
+        nonlocal last
+        last, begin = time.perf_counter(), last
+        spent[phase] = spent.get(phase, 0.0) + last - begin
+
+    depths = range(n_min, n_max_arg + 1)
+    # A batch holds about _BATCH_BYTES at the deepest N: 1 byte per string bit
+    # and 16 per amplitude of each tree.
+    per_batch = max(1, _BATCH_BYTES // (L + (16 << n_max_arg)))
+    fids = np.empty((len(depths), samples))
+    min_seg = [L] * len(depths)
+    for start in range(0, samples, per_batch):
+        batch = slice(start, min(start + per_batch, samples))
+        trees = [
+            random_angle_tree(n_max_arg, np.random.default_rng((seed ^ i) & _MASK64))
+            for i in range(batch.start, batch.stop)
+        ]
+        lap("draw")
+        families = [_encode_cuts(tree, L, n_min) for tree in trees]
+        lap("encode")
+        m, n, lengths = _decode_trees(families, L)
+        for row, N in enumerate(depths):
+            min_seg[row] = min(min_seg[row], int(lengths[:, 1 << (N - 1) : 1 << N].min()))
+        lap("decode")
+        for N, (exact, quantised) in enumerate(_support_levels(trees, m, n, lengths), 1):
+            lap("amplitudes")
+            if N >= n_min:
+                fids[N - n_min, batch] = [fidelity(a, b) for a, b in zip(exact, quantised)]
+                lap("fidelity")
+        lap("amplitudes")
+    return [
+        SaturationRow(N, *_median_and_p10(row_fids), seg)
+        for N, row_fids, seg in zip(depths, fids, min_seg)
+    ]

@@ -275,6 +275,24 @@ def test_saturate_matches_benchmark_goldens():
         assert hashlib.sha256(proc.stdout).hexdigest() == digest, key
 
 
+def test_saturate_leaves_numpy_ma_unimported():
+    # np.median and np.percentile import numpy.ma on first use, ~20 ms per
+    # call; the sweep's row statistics call neither.
+    script = (
+        "import contextlib, io, sys\n"
+        "from qgrain import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['saturate', '--L', '64', '--n', '1..4', '--samples', '9'])\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 False\n"
+
+
 @pytest.mark.parametrize("L", [2**63, 2**64, 2**641], ids=["2^63", "2^64", "2^641"])
 def test_saturate_granularity_beyond_int64_exits_2(capsys, L):
     code, out, err = run_cli(capsys, "saturate", "--L", str(L), "--n", "1..2", "--samples", "2")

@@ -14,6 +14,7 @@ from qgrain.bitstring import (
     encode,
     from_text,
     iota,
+    negate,
     to_text,
 )
 from qgrain import nested
@@ -484,6 +485,9 @@ def _per_batch(L, N):
         (2, 1, 14, 5, 3),
         (64, 1, 6, 40, 9),
         (16, 1, 12, 8, 5),  # past n_max(16) = 5 almost every deep branch is absent
+        (4096, 12, 14, 3, 2),
+        (16, 4, 9, 7, 11),
+        (256, 3, 8, 20, 4),
     ],
 )
 def test_saturation_batches_match_per_tree_reference(L, n_min, n_max_arg, samples, seed):
@@ -492,6 +496,99 @@ def test_saturation_batches_match_per_tree_reference(L, n_min, n_max_arg, sample
     assert saturation_experiment(L, n_min, n_max_arg, samples, seed) == _per_tree_rows(
         L, n_min, n_max_arg, samples, seed
     )
+
+
+@pytest.mark.parametrize(
+    "L,n_min,n_max_arg,samples,seed",
+    [(4096, 1, 14, 3, 0), (2, 1, 12, 4, 1), (16, 3, 10, 9, 6), (1 << 16, 1, 6, 2, 2)],
+)
+def test_multi_row_sweep_equals_single_row_sweeps(L, n_min, n_max_arg, samples, seed):
+    # Single-row sweeps draw, decode and batch at their own depth.
+    assert saturation_experiment(L, n_min, n_max_arg, samples, seed) == [
+        row for N in range(n_min, n_max_arg + 1) for row in saturation_experiment(L, N, N, samples, seed)
+    ]
+
+
+@given(st.integers(1, 8), st.integers(0, 4), st.sampled_from([2, 16, 4096, 1 << 16]), st.integers(0, 2**32 - 1))
+@settings(max_examples=40)
+def test_shallower_trees_families_and_decodes_are_prefixes(N, extra, L, seed):
+    # The sweep's premises: one generator draws the depth-N tree as the heap
+    # prefix of the deeper one, whose first N strings, quantised heap and
+    # decoded heap are then those of the depth-N tree.
+    size = 1 << N
+    tree, deep = (random_angle_tree(depth, np.random.default_rng(seed)) for depth in (N, N + extra))
+    assert np.array_equal(tree.thetas, deep.thetas[:size])
+    assert np.array_equal(tree.phis, deep.phis[:size])
+    (strings, state), (deep_strings, deep_state) = encode_nested(tree, L), encode_nested(deep, L)
+    assert strings == deep_strings[:N]
+    decoded, deep_decoded = decode_nested(strings), decode_nested(deep_strings)
+    for name in ("m", "n", "lengths"):
+        assert np.array_equal(getattr(state, name), getattr(deep_state, name)[:size])
+        assert np.array_equal(getattr(decoded, name), getattr(deep_decoded, name)[:size])
+
+
+def test_saturation_encodes_each_cut_once_and_draws_each_sample_once(monkeypatch):
+    encoded, drawn = [], []
+    encode, draw = nested.encode_nested, nested.random_angle_tree
+
+    def counting_encode(tree, L):
+        strings, state = encode(tree, L)
+        encoded.append((tree.depth, sum(len(s) for s in strings)))
+        return strings, state
+
+    def counting_draw(depth, rng):
+        drawn.append(depth)
+        return draw(depth, rng)
+
+    monkeypatch.setattr(nested, "encode_nested", counting_encode)
+    monkeypatch.setattr(nested, "random_angle_tree", counting_draw)
+    L, samples = 64, 6
+    saturation_experiment(L, 2, 6, samples, 0)
+    assert sorted(encoded) == sorted((N, L * N) for N in range(2, 7) for _ in range(samples))
+    assert sum(bits for _, bits in encoded) == L * sum(range(2, 7)) * samples
+    assert drawn == [6] * samples
+
+
+def test_saturation_rejects_a_family_that_is_not_a_prefix(monkeypatch):
+    encode = nested.encode_nested
+
+    def corrupting_encode(tree, L):
+        strings, state = encode(tree, L)
+        if tree.depth == 2:
+            strings[0] = negate(strings[0])
+        return strings, state
+
+    monkeypatch.setattr(nested, "encode_nested", corrupting_encode)
+    with pytest.raises(RuntimeError, match="prefix"):
+        saturation_experiment(16, 1, 3, 2, 0)
+
+
+def test_saturation_checks_granularity_before_the_deepest_draw():
+    # A depth-24 draw would hold ~256 MB before encode_nested saw L.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"even L in \[2, 2\^63\)"):
+            saturation_experiment(3, 1, 24, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+_ROW_VALUES = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, math.nan]),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: x + 0.0),  # no -0.0
+)
+
+
+@given(st.lists(_ROW_VALUES, min_size=1, max_size=600))
+@settings(max_examples=200)
+def test_row_statistics_equal_numpy_to_the_bit(values):
+    arr = np.array(values)
+    got = nested._median_and_p10(arr)
+    want = (np.median(arr), np.percentile(arr, 10))
+    assert [np.float64(x).tobytes() for x in got] == [np.float64(x).tobytes() for x in want]
 
 
 _OFF_TURN_PHASES = st.one_of(
@@ -513,11 +610,17 @@ def test_support_overlap_equals_dense_fidelity(depth, L, data):
     tree = AngleTree.from_nodes(depth, list(zip(thetas, phis)))
     strings, _ = encode_nested(tree, L)
     m, n, lengths = nested._decode_trees([strings], L)
-    exact, quantised = (vec[0] for vec in nested._support_amplitudes([tree], m, n, lengths))
-    dense_exact, dense_quantised = amplitudes_of_tree(tree), amplitudes(decode_nested(strings))
-    assert np.array_equal(quantised, dense_quantised)
-    assert np.all((exact == dense_exact) | ((exact == 0) & (quantised == 0)))
-    assert fidelity(exact, quantised) == fidelity(dense_exact, dense_quantised)
+    levels = nested._support_levels([tree], m, n, lengths)
+    for d, (exact, quantised) in enumerate(levels, 1):
+        # Level d against the dense reference of the tree cut at depth d.
+        cut = AngleTree(d, tree.thetas[: 1 << d], tree.phis[: 1 << d])
+        dense_exact = amplitudes_of_tree(cut)
+        dense_quantised = amplitudes(decode_nested(encode_nested(cut, L)[0]))
+        exact, quantised = exact[0], quantised[0]
+        assert np.array_equal(quantised, dense_quantised)
+        assert np.all((exact == dense_exact) | ((exact == 0) & (quantised == 0)))
+        assert fidelity(exact, quantised) == fidelity(dense_exact, dense_quantised)
+    assert d == depth
 
 
 def test_saturation_timings_cover_every_phase():
