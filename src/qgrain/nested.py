@@ -359,18 +359,16 @@ def _support_levels(trees: Sequence[AngleTree], m, n, lengths):
     # d = 1 .. depth.  The exact factors are taken only where the quantised
     # ones are nonzero (+ branch: m > 0, - branch: m < l), so the exact vector
     # is 0 off the support.
-    def exact_factors(m: np.ndarray, lengths: np.ndarray):
-        thetas = np.concatenate([tree.thetas for tree in trees])
-        phis = np.concatenate([tree.phis for tree in trees])
-        plus, minus = np.flatnonzero(m > 0), np.flatnonzero(m < lengths)
-        cos_half, sin_half = np.zeros(m.shape), np.zeros(m.shape)
-        phase = np.zeros(m.shape, dtype=np.complex128)
-        cos_half.ravel()[plus] = np.cos(thetas[plus] / 2.0)
-        sin_half.ravel()[minus] = np.sin(thetas[minus] / 2.0)
-        phase.ravel()[minus] = np.exp(1j * phis[minus])
-        return cos_half, sin_half, phase
-
-    return zip(_level_vectors(*exact_factors(m, lengths)), _level_vectors(*_state_factors(m, n, lengths)))
+    thetas = np.concatenate([tree.thetas for tree in trees])
+    phis = np.concatenate([tree.phis for tree in trees])
+    plus, minus = np.flatnonzero(m > 0), np.flatnonzero(m < lengths)
+    cos_half, sin_half = np.zeros(m.shape), np.zeros(m.shape)
+    phase = np.zeros(m.shape, dtype=np.complex128)
+    cos_half.ravel()[plus] = np.cos(thetas[plus] / 2.0)
+    sin_half.ravel()[minus] = np.sin(thetas[minus] / 2.0)
+    phase.ravel()[minus] = np.exp(1j * phis[minus])
+    exact = _level_vectors(cos_half, sin_half, phase)
+    return zip(exact, _level_vectors(*_state_factors(m, n, lengths)))
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -393,7 +391,7 @@ def _encode_cuts(tree: AngleTree, L: int, n_min: int) -> list[BitString]:
     # encode_nested of the tree cut at each depth n_min .. tree.depth, one call
     # each, checking that every family is the prefix of the next deeper one;
     # returns the deepest.  Decoding it then decodes every cut: each level's
-    # lengths, m and n depend only on the strings above it.
+    # lengths, m and n depend only on its own and the shallower strings.
     shallower = None
     for N in range(n_min, tree.depth + 1):
         cut = tree if N == tree.depth else AngleTree(N, tree.thetas[: 1 << N], tree.phis[: 1 << N])

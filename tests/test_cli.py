@@ -277,7 +277,7 @@ def test_saturate_matches_benchmark_goldens():
 
 def test_saturate_leaves_numpy_ma_unimported():
     # np.median and np.percentile import numpy.ma on first use, ~20 ms per
-    # call; the sweep's row statistics call neither.
+    # CLI call; the sweep's row statistics call neither.
     script = (
         "import contextlib, io, sys\n"
         "from qgrain import cli\n"
