@@ -11,10 +11,10 @@ recurrence walks the levels; all else runs once per family, in heap order,
 and the runs and codeword checks cover live (l > 0) segments only.  The
 saturation sweep takes the exact state only on the quantised state's support:
 off it each overlap term is +-0 either way, so the fidelity is the same float.
-It draws, decodes and expands each sample once, at the deepest N: a shallower
-tree is the heap prefix of the deeper one, its strings are the first strings
-of the deeper family, and its dense vector is an intermediate level of the
-deeper expansion.
+It runs one sample at a time and draws, decodes (``decode_nested``) and
+expands each sample once, at the deepest N: a shallower tree is the heap
+prefix of the deeper one, its strings are the first strings of the deeper
+family, and its dense vector is an intermediate level of the deeper expansion.
 
 Capacity counting: the N strings hold L*N bits while the state has
 2^(N+1) - 2 real degrees of freedom, which bounds the usable qubit number
@@ -35,7 +35,6 @@ from .qubit import TWO_PI
 
 _MASK64 = (1 << 64) - 1
 _MAX_DENSE_DEPTH = 24
-_BATCH_BYTES = 1 << 18
 SATURATION_PHASES = ("draw", "encode", "decode", "amplitudes", "fidelity")
 
 
@@ -221,23 +220,22 @@ def _decode_level(values: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, 
     return m, _segment_phases(values, lengths, m)
 
 
-def _walk_levels(depth: int, L: int, level_m, trees: int = 1):
-    # (trees, 2^depth) heap arrays m and lengths of `trees` trees, root down, by
-    # l_2k = m_k, l_2k+1 = l_k - m_k.  level_m(d, lengths) gives the depth-d m
-    # for the depth-d lengths of every tree, flattened tree-major.  Only this
-    # recurrence goes level by level: each level covers L bits, so the callers
-    # do the rest once over all nodes in heap order, the strings' order.
+def _walk_levels(depth: int, L: int, level_m):
+    # Heap arrays m and lengths, root down, by l_2k = m_k, l_2k+1 = l_k - m_k.
+    # level_m(d, lengths) gives the depth-d m for the depth-d lengths.  Only
+    # this recurrence goes level by level: each level covers L bits, so the
+    # callers do the rest once over all nodes in heap order, the strings' order.
     size = 1 << depth
-    m = np.zeros((trees, size), dtype=np.int64)
-    lengths = np.zeros((trees, size), dtype=np.int64)
-    lengths[:, 1] = L
+    m = np.zeros(size, dtype=np.int64)
+    lengths = np.zeros(size, dtype=np.int64)
+    lengths[1] = L
     for d in range(1, depth + 1):
         lo, hi = 1 << (d - 1), 1 << d
-        level_len = lengths[:, lo:hi]
-        m[:, lo:hi] = level_m(d, level_len.ravel()).reshape(trees, -1)
+        level_len = lengths[lo:hi]
+        m[lo:hi] = level_m(d, level_len)
         if d < depth:
-            lengths[:, 2 * lo : 2 * hi : 2] = m[:, lo:hi]
-            lengths[:, 2 * lo + 1 : 2 * hi : 2] = level_len - m[:, lo:hi]
+            lengths[2 * lo : 2 * hi : 2] = m[lo:hi]
+            lengths[2 * lo + 1 : 2 * hi : 2] = level_len - m[lo:hi]
     return m, lengths
 
 
@@ -258,7 +256,7 @@ def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState
         np.maximum(m, 0, out=m)
         return np.minimum(m, lengths, out=m)
 
-    m, lengths = (heap[0] for heap in _walk_levels(tree.depth, L, level_m))
+    m, lengths = _walk_levels(tree.depth, L, level_m)
     # np.mod returns phases in [0, 2pi) unchanged, so only the others pay for it.
     phis = tree.phis
     frac = np.mod(phis, TWO_PI, out=phis.copy(), where=(phis < 0) | (phis >= TWO_PI)) / TWO_PI
@@ -271,17 +269,6 @@ def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState
     return strings, NestedState(tree.depth, L, m, n, lengths)
 
 
-def _decode_trees(families: Sequence[Sequence[BitString]], L: int):
-    # Heap arrays m, n, lengths of every family's decoded tree.  The walk counts
-    # +1s; one codeword check covers all bits, tree-major like the heap rows.
-    def level_m(d: int, lengths: np.ndarray):
-        return _plus_counts(np.concatenate([strings[d - 1].values for strings in families]), lengths)
-
-    m, lengths = _walk_levels(len(families[0]), L, level_m, len(families))
-    bits = np.concatenate([s.values for strings in families for s in strings])
-    return m, _segment_phases(bits, lengths.ravel(), m.ravel()).reshape(m.shape), lengths
-
-
 def decode_nested(strings: Sequence[BitString]) -> NestedState:
     """Invert ``encode_nested``: recover every (m_k, n_k, l_k) by conditional counting."""
     if not strings:
@@ -289,30 +276,36 @@ def decode_nested(strings: Sequence[BitString]) -> NestedState:
     L = len(strings[0])
     if any(len(s) != L for s in strings):
         raise ValueError("all strings must share one length")
-    m, n, lengths = _decode_trees([strings], L)
-    return NestedState(len(strings), L, m[0], n[0], lengths[0])
+
+    # The walk counts each level's +1s; one codeword check covers all bits.
+    def level_m(d: int, lengths: np.ndarray):
+        return _plus_counts(strings[d - 1].values, lengths)
+
+    m, lengths = _walk_levels(len(strings), L, level_m)
+    n = _segment_phases(np.concatenate([s.values for s in strings]), lengths, m)
+    return NestedState(len(strings), L, m, n, lengths)
 
 
 def _level_vectors(cos_half: np.ndarray, sin_half: np.ndarray, phase: np.ndarray):
-    # Yields the dense (trees, 2^d) vectors for d = 1 .. depth of product-form
-    # trees with (trees, 2^depth) heap branch factors: the + child of node k
-    # multiplies by cos_half[k] and the - child by sin_half[k], then by
-    # phase[k].  Level d's vector is that of the trees cut at depth d.
-    vec = np.ones((cos_half.shape[0], 1), dtype=np.complex128)
-    for d in range(1, cos_half.shape[1].bit_length()):
+    # Yields the dense 2^d vectors for d = 1 .. depth of a product-form tree
+    # with 2^depth heap branch factors: the + child of node k multiplies by
+    # cos_half[k] and the - child by sin_half[k], then by phase[k].  Level
+    # d's vector is that of the tree cut at depth d.
+    vec = np.ones(1, dtype=np.complex128)
+    for d in range(1, cos_half.size.bit_length()):
         lo, hi = 1 << (d - 1), 1 << d
-        nxt = np.empty((vec.shape[0], 2 * vec.shape[1]), dtype=np.complex128)
-        np.multiply(vec, cos_half[:, lo:hi], out=nxt[:, 0::2])
-        minus = np.multiply(vec, sin_half[:, lo:hi], out=nxt[:, 1::2])
-        minus *= phase[:, lo:hi]
+        nxt = np.empty(2 * vec.size, dtype=np.complex128)
+        np.multiply(vec, cos_half[lo:hi], out=nxt[0::2])
+        minus = np.multiply(vec, sin_half[lo:hi], out=nxt[1::2])
+        minus *= phase[lo:hi]
         vec = nxt
         yield vec
 
 
 def _expand(factors, *heaps: np.ndarray) -> np.ndarray:
-    # Dense (trees, 2^depth) vectors of product-form trees; factors(*heaps)
-    # turns the trees' (trees, 2^depth) heap arrays into their branch factors.
-    if heaps[0].shape[1] > 1 << _MAX_DENSE_DEPTH:
+    # Dense 2^depth vector of a product-form tree; factors(*heaps) turns the
+    # tree's 2^depth heap arrays into its branch factors.
+    if heaps[0].size > 1 << _MAX_DENSE_DEPTH:
         raise ValueError(f"dense amplitudes limited to depth {_MAX_DENSE_DEPTH}")
     for vec in _level_vectors(*factors(*heaps)):
         pass
@@ -322,15 +315,14 @@ def _expand(factors, *heaps: np.ndarray) -> np.ndarray:
 def _state_factors(m: np.ndarray, n: np.ndarray, lengths: np.ndarray):
     # Branch factors of quantised heap arrays, computed at live nodes (l > 0)
     # only; absent nodes give 0, and the phase is left at e^0 = 1 where n = 0.
-    # The ravel() views take flat indices (.flat would be ~7x slower).
     live = np.flatnonzero(lengths > 0)
-    weight = m.ravel()[live] / lengths.ravel()[live]
-    cos_half, sin_half = np.zeros(m.shape), np.zeros(m.shape)
-    cos_half.ravel()[live] = np.sqrt(weight)
-    sin_half.ravel()[live] = np.sqrt(1.0 - weight)
-    phase = np.ones(m.shape, dtype=np.complex128)
-    turn = live[n.ravel()[live] != 0]
-    phase.ravel()[turn] = np.exp(2j * np.pi * (n.ravel()[turn] / lengths.ravel()[turn]))
+    weight = m[live] / lengths[live]
+    cos_half, sin_half = np.zeros(m.size), np.zeros(m.size)
+    cos_half[live] = np.sqrt(weight)
+    sin_half[live] = np.sqrt(1.0 - weight)
+    phase = np.ones(m.size, dtype=np.complex128)
+    turn = live[n[live] != 0]
+    phase[turn] = np.exp(2j * np.pi * (n[turn] / lengths[turn]))
     return cos_half, sin_half, phase
 
 
@@ -346,29 +338,28 @@ def amplitudes(state: NestedState) -> np.ndarray:
     sqrt(m_k / l_k) and a - branch by sqrt(1 - m_k / l_k) * e^(2 pi i n_k / l_k);
     absent branches (l_k = 0) contribute amplitude zero.
     """
-    return _expand(_state_factors, state.m[None], state.n[None], state.lengths[None])[0]
+    return _expand(_state_factors, state.m, state.n, state.lengths)
 
 
 def amplitudes_of_tree(tree: AngleTree) -> np.ndarray:
     """Dense 2^N state vector of the continuum tree (the exact reference)."""
-    return _expand(_tree_factors, tree.thetas[None], tree.phis[None])[0]
+    return _expand(_tree_factors, tree.thetas, tree.phis)
 
 
-def _support_levels(trees: Sequence[AngleTree], m, n, lengths):
-    # Pairs of exact and quantised (trees, 2^d) vectors of a decoded batch, for
-    # d = 1 .. depth.  The exact factors are taken only where the quantised
-    # ones are nonzero (+ branch: m > 0, - branch: m < l), so the exact vector
-    # is 0 off the support.
-    thetas = np.concatenate([tree.thetas for tree in trees])
-    phis = np.concatenate([tree.phis for tree in trees])
+def _support_levels(tree: AngleTree, state: NestedState):
+    # Pairs of exact and quantised 2^d vectors of a tree and its decoded
+    # state, for d = 1 .. depth.  The exact factors are taken only where the
+    # quantised ones are nonzero (+ branch: m > 0, - branch: m < l), so the
+    # exact vector is 0 off the support.
+    m, lengths = state.m, state.lengths
     plus, minus = np.flatnonzero(m > 0), np.flatnonzero(m < lengths)
-    cos_half, sin_half = np.zeros(m.shape), np.zeros(m.shape)
-    phase = np.zeros(m.shape, dtype=np.complex128)
-    cos_half.ravel()[plus] = np.cos(thetas[plus] / 2.0)
-    sin_half.ravel()[minus] = np.sin(thetas[minus] / 2.0)
-    phase.ravel()[minus] = np.exp(1j * phis[minus])
+    cos_half, sin_half = np.zeros(m.size), np.zeros(m.size)
+    phase = np.zeros(m.size, dtype=np.complex128)
+    cos_half[plus] = np.cos(tree.thetas[plus] / 2.0)
+    sin_half[minus] = np.sin(tree.thetas[minus] / 2.0)
+    phase[minus] = np.exp(1j * tree.phis[minus])
     exact = _level_vectors(cos_half, sin_half, phase)
-    return zip(exact, _level_vectors(*_state_factors(m, n, lengths)))
+    return zip(exact, _level_vectors(*_state_factors(m, state.n, lengths)))
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -442,14 +433,14 @@ def saturation_experiment(
 
     Every cut is encoded alone, and each family is checked to be the prefix
     of the next deeper one, so only the deepest family of a sample is decoded
-    and expanded: the rows read their levels off that one pass.  Samples run
-    in batches sized for the deepest N so that memory stays bounded; each
-    sample's numbers, and so the rows, do not depend on the split.  The exact
-    state's branch factors are computed only where the quantised factor is
-    nonzero and set to 0 elsewhere.  Where the quantised amplitude is exactly
-    0 each term of the overlap is +-0 with or without that, and adding +-0
-    leaves the sum unchanged (up to the sign of a zero, which |.| drops), so
-    every fidelity equals the dense reference's to the bit.
+    (by ``decode_nested``) and expanded: the rows read their levels off that
+    one pass.  Samples run one at a time, so memory stays bounded by one
+    deepest tree whatever the sample count.  The exact state's branch factors
+    are computed only where the quantised factor is nonzero and set to 0
+    elsewhere.  Where the quantised amplitude is exactly 0 each term of the
+    overlap is +-0 with or without that, and adding +-0 leaves the sum
+    unchanged (up to the sign of a zero, which |.| drops), so every fidelity
+    equals the dense reference's to the bit.
     When ``timings`` is a dict, the wall seconds spent in each phase of
     ``SATURATION_PHASES`` are added to it under the phase's name.
     """
@@ -470,28 +461,21 @@ def saturation_experiment(
         spent[phase] = spent.get(phase, 0.0) + last - begin
 
     depths = range(n_min, n_max_arg + 1)
-    # A batch holds about _BATCH_BYTES at the deepest N: 1 byte per string bit
-    # and 16 per amplitude of each tree.
-    per_batch = max(1, _BATCH_BYTES // (L + (16 << n_max_arg)))
     fids = np.empty((len(depths), samples))
     min_seg = [L] * len(depths)
-    for start in range(0, samples, per_batch):
-        batch = slice(start, min(start + per_batch, samples))
-        trees = [
-            random_angle_tree(n_max_arg, np.random.default_rng((seed ^ i) & _MASK64))
-            for i in range(batch.start, batch.stop)
-        ]
+    for i in range(samples):
+        tree = random_angle_tree(n_max_arg, np.random.default_rng((seed ^ i) & _MASK64))
         lap("draw")
-        families = [_encode_cuts(tree, L, n_min) for tree in trees]
+        family = _encode_cuts(tree, L, n_min)
         lap("encode")
-        m, n, lengths = _decode_trees(families, L)
+        state = decode_nested(family)
         for row, N in enumerate(depths):
-            min_seg[row] = min(min_seg[row], int(lengths[:, 1 << (N - 1) : 1 << N].min()))
+            min_seg[row] = min(min_seg[row], int(state.lengths[state.level_slice(N)].min()))
         lap("decode")
-        for N, (exact, quantised) in enumerate(_support_levels(trees, m, n, lengths), 1):
+        for N, (exact, quantised) in enumerate(_support_levels(tree, state), 1):
             lap("amplitudes")
             if N >= n_min:
-                fids[N - n_min, batch] = [fidelity(a, b) for a, b in zip(exact, quantised)]
+                fids[N - n_min, i] = fidelity(exact, quantised)
                 lap("fidelity")
         lap("amplitudes")
     return [

@@ -199,16 +199,13 @@ def test_decode_nested_rejects_corrupt_deepest_level_only():
         decode_nested(bad)
 
 
-def test_decode_batch_rejects_one_trees_corrupt_middle_level():
-    families = [encode_nested(random_angle_tree(3, np.random.default_rng(i)), 16)[0] for i in range(2)]
+def test_decode_nested_rejects_corrupt_middle_level_only():
     strings, state = encode_nested(_half_tree(3), 16)
     assert to_text(strings[1]) == "----++++" * 2
-    families.insert(1, strings)
-    m, n, lengths = nested._decode_trees(families, 16)
-    assert np.array_equal(m[1], state.m) and np.array_equal(n[1], state.n)
-    families[1] = [strings[0], _corrupt(strings[1], 0, [1, -1] * 4), strings[2]]
+    assert decode_nested(strings) == state
+    bad = [strings[0], _corrupt(strings[1], 0, [1, -1] * 4), strings[2]]  # same m = 4 per segment
     with pytest.raises(NotCodewordError, match=NOT_CODEWORD):
-        nested._decode_trees(families, 16)
+        decode_nested(bad)
 
 
 def test_decode_nested_length_mismatch_is_reported_first():
@@ -471,16 +468,12 @@ def _per_tree_rows(L, n_min, n_max_arg, samples, seed):
     return rows
 
 
-def _per_batch(L, N):
-    return max(1, nested._BATCH_BYTES // (L + (16 << N)))
-
-
 @pytest.mark.parametrize(
     "L,n_min,n_max_arg,samples,seed",
     [
-        (4096, 10, 10, _per_batch(4096, 10) - 1, 0),
-        (4096, 10, 10, _per_batch(4096, 10), 7),
-        (4096, 10, 10, _per_batch(4096, 10) + 1, 12345),
+        (4096, 10, 10, 11, 0),
+        (4096, 10, 10, 12, 7),
+        (4096, 10, 10, 13, 12345),
         (4096, 14, 14, 3, 1),
         (2, 1, 14, 5, 3),
         (64, 1, 6, 40, 9),
@@ -491,8 +484,6 @@ def _per_batch(L, N):
     ],
 )
 def test_saturation_batches_match_per_tree_reference(L, n_min, n_max_arg, samples, seed):
-    assert _per_batch(4096, 10) == 12 and _per_batch(4096, 14) == 1
-    assert _per_batch(2, 14) == 1
     assert saturation_experiment(L, n_min, n_max_arg, samples, seed) == _per_tree_rows(
         L, n_min, n_max_arg, samples, seed
     )
@@ -503,7 +494,7 @@ def test_saturation_batches_match_per_tree_reference(L, n_min, n_max_arg, sample
     [(4096, 1, 14, 3, 0), (2, 1, 12, 4, 1), (16, 3, 10, 9, 6), (1 << 16, 1, 6, 2, 2)],
 )
 def test_multi_row_sweep_equals_single_row_sweeps(L, n_min, n_max_arg, samples, seed):
-    # Single-row sweeps draw, decode and batch at their own depth.
+    # Single-row sweeps draw and decode at their own depth.
     assert saturation_experiment(L, n_min, n_max_arg, samples, seed) == [
         row for N in range(n_min, n_max_arg + 1) for row in saturation_experiment(L, N, N, samples, seed)
     ]
@@ -528,24 +519,30 @@ def test_shallower_trees_families_and_decodes_are_prefixes(N, extra, L, seed):
 
 
 def test_saturation_encodes_each_cut_once_and_draws_each_sample_once(monkeypatch):
-    encoded, drawn = [], []
-    encode, draw = nested.encode_nested, nested.random_angle_tree
+    encoded, decoded, drawn = [], [], []
+    encode, decode, draw = nested.encode_nested, nested.decode_nested, nested.random_angle_tree
 
     def counting_encode(tree, L):
         strings, state = encode(tree, L)
         encoded.append((tree.depth, sum(len(s) for s in strings)))
         return strings, state
 
+    def counting_decode(strings):
+        decoded.append((len(strings), sum(len(s) for s in strings)))
+        return decode(strings)
+
     def counting_draw(depth, rng):
         drawn.append(depth)
         return draw(depth, rng)
 
     monkeypatch.setattr(nested, "encode_nested", counting_encode)
+    monkeypatch.setattr(nested, "decode_nested", counting_decode)
     monkeypatch.setattr(nested, "random_angle_tree", counting_draw)
     L, samples = 64, 6
     saturation_experiment(L, 2, 6, samples, 0)
     assert sorted(encoded) == sorted((N, L * N) for N in range(2, 7) for _ in range(samples))
     assert sum(bits for _, bits in encoded) == L * sum(range(2, 7)) * samples
+    assert decoded == [(6, L * 6)] * samples  # the deepest family only
     assert drawn == [6] * samples
 
 
@@ -609,14 +606,12 @@ def test_support_overlap_equals_dense_fidelity(depth, L, data):
     phis = data.draw(st.lists(_OFF_TURN_PHASES, min_size=2 * leaves - 1, max_size=2 * leaves - 1))
     tree = AngleTree.from_nodes(depth, list(zip(thetas, phis)))
     strings, _ = encode_nested(tree, L)
-    m, n, lengths = nested._decode_trees([strings], L)
-    levels = nested._support_levels([tree], m, n, lengths)
+    levels = nested._support_levels(tree, decode_nested(strings))
     for d, (exact, quantised) in enumerate(levels, 1):
         # Level d against the dense reference of the tree cut at depth d.
         cut = AngleTree(d, tree.thetas[: 1 << d], tree.phis[: 1 << d])
         dense_exact = amplitudes_of_tree(cut)
         dense_quantised = amplitudes(decode_nested(encode_nested(cut, L)[0]))
-        exact, quantised = exact[0], quantised[0]
         assert np.array_equal(quantised, dense_quantised)
         assert np.all((exact == dense_exact) | ((exact == 0) & (quantised == 0)))
         assert fidelity(exact, quantised) == fidelity(dense_exact, dense_quantised)
@@ -646,7 +641,7 @@ def test_saturation_memory_is_flat_in_samples(N):
 
 
 def test_saturation_memory_near_the_bound():
-    # One N = 14 tree per batch, 4 batches, about a fifth of the nodes live.  The
+    # One N = 14 tree at a time, 4 samples, about a fifth of the nodes live.  The
     # run tables and factor gathers are live-sized and the exact factors are
     # taken on the quantised support only, so the traced peak stays under
     # 2.75 MiB (3.02 MiB when every such temporary was heap-sized).
