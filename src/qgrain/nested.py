@@ -248,6 +248,8 @@ def _check_granularity(L: int) -> None:
 def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState]:
     """Quantise a depth-N tree at granularity L and emit its N strings."""
     _check_granularity(L)
+    if not (np.isfinite(tree.thetas[1:]).all() and np.isfinite(tree.phis[1:]).all()):
+        raise ValueError("angles must be finite at nodes 1 .. 2^depth - 1")
     # Vector form of qubit.quantise with the same half-down tie rule.
     weight = np.cos(tree.thetas / 2.0) ** 2
 

@@ -139,7 +139,7 @@ class Direction:
 
     def __post_init__(self):
         norm = self.cx**2 + self.cy**2 + self.cz**2
-        if np.any(np.abs(norm - 1.0) > 1e-12):
+        if not np.all(np.abs(norm - 1.0) <= 1e-12):  # NaN compares False
             raise ValueError(f"direction cosines must be unit norm, got |.|^2 = {norm!r}")
 
 

@@ -122,19 +122,23 @@ def identity_op(L: int) -> SignedPermutation:
 def negation_op(L: int) -> SignedPermutation:
     """-1_L: identity map, all signs flipped."""
     index_map, signs = _identity(L)
-    return SignedPermutation._trusted(index_map, -signs)
+    return SignedPermutation._trusted(index_map, np.negative(signs, out=signs))
 
 
 def _blocks(L: int, d: int, block, columns, signs) -> tuple[np.ndarray, np.ndarray]:
     # (map, signs) of the 2 x 2 block form needing d | L: block row r holds
-    # signs[r] * block(L/2) in block column columns[r].
+    # signs[r] * block(L/2) in block column columns[r].  block(h) runs first,
+    # so a huge L fails on the innermost int8 allocation, as in _identity.
     _require_divisible(L, d)
     h = L // 2
-    index_map, block_signs = block(h)
-    return (
-        np.concatenate([index_map + c * h for c in columns]),
-        np.concatenate([s * block_signs for s in signs]),
-    )
+    block_map, block_signs = block(h)
+    out_signs = np.empty(L, dtype=np.int8)
+    out_map = np.empty(L, dtype=np.int64)
+    for r, (c, s) in enumerate(zip(columns, signs)):
+        rows = slice(r * h, (r + 1) * h)
+        np.add(block_map, c * h, out=out_map[rows])
+        np.multiply(block_signs, s, out=out_signs[rows])
+    return out_map, out_signs
 
 
 def _j_parts(L: int) -> tuple[np.ndarray, np.ndarray]:
@@ -180,14 +184,25 @@ def make_pauli_z(L: int) -> SignedPermutation:
 def verify_quaternion(L: int) -> bool:
     """i^2 = j^2 = k^2 = -1 and i*j = k, as exact operator equalities."""
     _require_divisible(L, 4)
-    i, j, k = make_i(L), make_j(L), make_k(L)
-    minus_one = negation_op(L)
-    return (
-        compose(i, i) == minus_one
-        and compose(j, j) == minus_one
-        and compose(k, k) == minus_one
-        and compose(i, j) == k
-    )
+    # At most three L-entry operators are alive at once: each is dropped
+    # after its last check, and -1 is built afresh for each square: one kept
+    # alive would be a fourth beside j, i*j and j*j.
+    i = make_i(L)
+    if compose(i, i) != negation_op(L):
+        return False
+    j = make_j(L)
+    ij = compose(i, j)
+    del i
+    jj = compose(j, j)
+    del j
+    if jj != negation_op(L):
+        return False
+    del jj
+    k = make_k(L)
+    if ij != k:
+        return False
+    del ij
+    return compose(k, k) == negation_op(L)
 
 
 def verify_spin_identities(L: int) -> bool:

@@ -117,6 +117,18 @@ def test_encode_nested_rejects_odd_granularity():
         encode_nested(tree_from(1, [(0.1, 0.2)]), 5)
 
 
+@pytest.mark.parametrize(
+    "node, theta, phi",
+    [(1, math.nan, 0.0), (1, 0.3, math.inf), (2, -math.inf, 0.1), (3, 0.3, math.nan)],
+)
+def test_encode_nested_refuses_non_finite_angles(node, theta, phi):
+    # The int64 casts would quantise NaN/inf to garbage with only a warning.
+    pairs = [(0.3, 0.1)] * 3
+    pairs[node - 1] = (theta, phi)
+    with pytest.raises(ValueError, match="finite"):
+        encode_nested(tree_from(2, pairs), 8)
+
+
 @pytest.mark.parametrize("L", [2**63, 2**64, 2**641], ids=["2^63", "2^64", "2^641"])
 def test_granularity_beyond_int64_is_refused(L):
     with pytest.raises(ValueError, match=r"2\^63"):

@@ -243,3 +243,12 @@ def test_uncertainty_check_accepts_arrays():
 def test_direction_norm_validation():
     with pytest.raises(ValueError):
         Direction(1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_direction_refuses_non_finite_cosines(bad):
+    # NaN fails every comparison, so the norm check must require closeness.
+    with pytest.raises(ValueError):
+        Direction(bad, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        Direction(np.array([1.0, bad]), np.zeros(2), np.zeros(2))

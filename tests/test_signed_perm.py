@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qgrain import signed_perm
 from qgrain.bitstring import BitString, cyc, iota
 from qgrain.signed_perm import (
     SignedPermutation,
@@ -202,16 +203,74 @@ def test_verify_quaternion():
         verify_quaternion(6)
 
 
-def test_verify_quaternion_megabit_memory():
-    L = 1 << 20
-    verify_quaternion(L)  # first-call allocations out of the way
+def _quaternion_identities(i, j, k):
+    minus_one = negation_op(len(i))
+    return {
+        "i^2": compose(i, i) == minus_one,
+        "j^2": compose(j, j) == minus_one,
+        "k^2": compose(k, k) == minus_one,
+        "ij=k": compose(i, j) == k,
+    }
+
+
+def _quaternion_fakes(L):
+    # Per identity, replacement generators under which it alone fails.
+    ilittle = make_ilittle(L)  # commutes with j, so (ilittle j)^2 = +1
+    return {
+        "i^2": {"make_i": identity_op(L), "make_k": make_j(L)},
+        "j^2": {"make_j": identity_op(L), "make_k": make_i(L)},
+        "k^2": {"make_i": ilittle, "make_k": compose(ilittle, make_j(L))},
+        "ij=k": {"make_k": compose(negation_op(L), make_k(L))},
+    }
+
+
+@pytest.mark.parametrize("broken", ["i^2", "j^2", "k^2", "ij=k"])
+def test_verify_quaternion_checks_each_identity(monkeypatch, broken):
+    L = 8
+    ops = {"make_i": make_i(L), "make_j": make_j(L), "make_k": make_k(L)}
+    ops.update(_quaternion_fakes(L)[broken])
+    failing = [name for name, ok in _quaternion_identities(*ops.values()).items() if not ok]
+    assert failing == [broken]
+    for name, op in ops.items():
+        monkeypatch.setattr(signed_perm, name, lambda n, op=op: op)
+    assert not verify_quaternion(L)
+
+
+def test_verify_quaternion_composes_four_full_products(monkeypatch):
+    L = 64
+    lengths = []
+
+    def counted(a, b):
+        product = compose(a, b)
+        lengths.append(len(product))
+        return product
+
+    monkeypatch.setattr(signed_perm, "compose", counted)
+    assert verify_quaternion(L)
+    assert lengths == [L] * 4
+
+
+def _traced_peak_mib(check, L):
+    check(L)  # first-call allocations out of the way
     tracemalloc.start()
     try:
-        assert verify_quaternion(L)
+        assert check(L)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 52 * 2**20, f"verify_quaternion(2^20) peaked at {peak / 2**20:.1f} MiB"
+    return peak / 2**20
+
+
+def test_verify_quaternion_megabit_memory():
+    # Three 9-byte-per-entry operators: i, j and i*j while they are composed.
+    peak = _traced_peak_mib(verify_quaternion, 1 << 20)
+    assert peak <= 30, f"verify_quaternion(2^20) peaked at {peak:.1f} MiB"
+
+
+@pytest.mark.parametrize("check", [verify_spin_identities, self_similar_split])
+def test_spin_checks_megabit_memory(check):
+    peak = _traced_peak_mib(check, 1 << 20)
+    assert peak <= 18, f"{check.__name__}(2^20) peaked at {peak:.1f} MiB"
 
 
 def test_verify_spin_identities():
