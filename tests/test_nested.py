@@ -122,7 +122,7 @@ def test_encode_nested_rejects_odd_granularity():
     [(1, math.nan, 0.0), (1, 0.3, math.inf), (2, -math.inf, 0.1), (3, 0.3, math.nan)],
 )
 def test_encode_nested_refuses_non_finite_angles(node, theta, phi):
-    # The int64 casts would quantise NaN/inf to garbage with only a warning.
+    # Unchecked, the int64 casts turn NaN/inf into garbage with only a warning.
     pairs = [(0.3, 0.1)] * 3
     pairs[node - 1] = (theta, phi)
     with pytest.raises(ValueError, match="finite"):
