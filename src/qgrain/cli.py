@@ -33,7 +33,6 @@ SCHEMA_VERSION = 1
 class RunConfig:
     fmt: str
     seed: int
-    constants: gravity.PhysicalConstants
 
 
 Result = tuple[bool, dict, list[str]]
@@ -47,13 +46,17 @@ def _decimal(text: str, what: str) -> Decimal:
 
 
 def cmd_capacity(args: argparse.Namespace, cfg: RunConfig) -> Result:
+    if args.constants:
+        constants = gravity.PhysicalConstants.from_file(args.constants, args.precision)
+    else:
+        constants = gravity.constants_from_env(precision=args.precision)
     scenario = gravity.Scenario(
         M=_decimal(args.mass, "--mass"),
         b=_decimal(args.sep, "--sep"),
         qubit_multiplier=args.qubits,
         R_override=_decimal(args.radius, "--radius") if args.radius else None,
     )
-    report = gravity.scenario_report(scenario, cfg.constants)
+    report = gravity.scenario_report(scenario, constants)
     doc = {
         "command": "capacity",
         "mass": str(scenario.M),
@@ -288,11 +291,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.constants:
-            constants = gravity.PhysicalConstants.from_file(args.constants, args.precision)
-        else:
-            constants = gravity.constants_from_env(precision=args.precision)
-        cfg = RunConfig(args.format, args.seed, constants)
+        cfg = RunConfig(args.format, args.seed)
         if cfg.fmt == "csv" and args.command != "saturate":
             raise ValueError(f"csv format is only available for saturate, not {args.command}")
         ok, doc, text_lines = args.func(args, cfg)

@@ -6,9 +6,11 @@ conditional qubit of its branch.  Encoding maps the tree onto N strings of L
 bits each: string d concatenates, in node order, one codeword per depth-d
 node, where a node's segment length equals the +1 count (m) or -1 count of
 its parent segment.  Zero-length segments are absent branches; length-1
-segments are classical bits (m in {0, 1}, n = 0).  Only the length
-recurrence walks the levels; all else runs once per family, in heap order,
-and the runs and codeword checks cover live (l > 0) segments only.  The
+segments are classical bits (m in {0, 1}, n = 0).  Decoding runs level by
+level: one pass over a level's sign changes gives its m, n and codeword
+check, and its m give the next level's lengths.  Encoding walks the levels
+only for that length recurrence and emits the runs once per family, in heap
+order.  Both cover live (l > 0) segments only.  The
 saturation sweep takes the exact state only on the quantised state's support:
 off it each overlap term is +-0 either way, so the fidelity is the same float.
 It runs one sample at a time and draws, decodes (``decode_nested``) and
@@ -180,51 +182,43 @@ def _level_codeword(lengths: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.nda
     return np.repeat(*_run_table(lengths, m, n))
 
 
-def _plus_counts(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    # +1 count of each of the consecutive segments that tile values.
-    live = np.flatnonzero(lengths)
-    l = lengths[live]
-    m = np.zeros_like(lengths)
-    m[live] = np.add.reduceat(values == 1, np.cumsum(l) - l, dtype=np.int64)
-    return m
-
-
-def _segment_phases(values: np.ndarray, lengths: np.ndarray, m: np.ndarray) -> np.ndarray:
-    # n of the consecutive segments that tile values, given their +1 counts
-    # m; raises on a non-codeword.  A segment is a codeword iff at most 2 of
-    # its adjacent bit pairs differ: with the wrap-around pair that count is
-    # even, and it is at most 2 iff the +1s form one cyclic block.  The block
-    # start, which fixes n, is the one internal -1 -> +1 edge, or the segment
-    # start when there is none.  All of it runs over live segments only.
-    live = np.flatnonzero(lengths)
-    l = lengths[live]
-    starts = np.cumsum(l) - l
-    edges = np.flatnonzero(values[1:] != values[:-1]) + 1
-    seg = np.searchsorted(starts, edges, side="right") - 1
-    internal = edges != starts[seg]
-    edges, seg = edges[internal], seg[internal]
-    if np.any(np.bincount(seg, minlength=live.size) > 2):
-        raise NotCodewordError("segment is not a cyclic shift of a contiguous +1 block")
-    block = starts.copy()
-    rising = values[edges] == 1
-    block[seg[rising]] = edges[rising]
-    mixed = np.flatnonzero((m[live] > 0) & (m[live] < l))
-    n = np.zeros_like(lengths)
-    n[live[mixed]] = (starts[mixed] - block[mixed] - l[mixed] // 2) % l[mixed]
-    return n
-
-
 def _decode_level(values: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Per-segment inversion of _level_codeword; raises on non-codewords.
-    m = _plus_counts(values, lengths)
-    return m, _segment_phases(values, lengths, m)
+    # (m, n) of the consecutive segments that tile values, the inverse of
+    # _level_codeword; raises on a non-codeword.  A segment is a codeword iff
+    # at most 2 of its adjacent bit pairs differ: with the wrap-around pair
+    # that count is even, and it is at most 2 iff the +1s form one cyclic
+    # block.  Its internal +1 -> -1 edge (fall) and -1 -> +1 edge (rise), each
+    # the segment end when absent, give m = fall - rise, plus l when the
+    # segment starts on a +1.  The block start, which fixes n, is rise, or the
+    # segment start (the end, mod l) when there is none; segments with no
+    # internal edge are degenerate and keep n = 0.  Live segments only.
+    live = np.flatnonzero(lengths)
+    l = lengths[live]
+    ends = np.cumsum(l)
+    starts = ends - l
+    differs = values[1:] != values[:-1]
+    differs[ends[:-1] - 1] = False  # pairs that straddle a segment boundary
+    edges = np.flatnonzero(differs) + 1
+    seg = np.searchsorted(ends, edges, side="right")
+    count = np.bincount(seg, minlength=live.size)
+    if (count > 2).any():
+        raise NotCodewordError("segment is not a cyclic shift of a contiguous +1 block")
+    edge_at = np.concatenate((ends, ends))  # falls, then rises
+    edge_at[seg + live.size * (values[edges] == 1)] = edges
+    fall, rise = edge_at.reshape(2, -1)
+    m_live = fall - rise + l * (values[starts] == 1)
+    n_live = (starts - rise - l // 2) % l
+    n_live[count == 0] = 0
+    m, n = np.zeros_like(lengths), np.zeros_like(lengths)
+    m[live], n[live] = m_live, n_live
+    return m, n
 
 
 def _walk_levels(depth: int, L: int, level_m):
     # Heap arrays m and lengths, root down, by l_2k = m_k, l_2k+1 = l_k - m_k.
-    # level_m(d, lengths) gives the depth-d m for the depth-d lengths.  Only
-    # this recurrence goes level by level: each level covers L bits, so the
-    # callers do the rest once over all nodes in heap order, the strings' order.
+    # level_m(d, lengths) gives the depth-d m for the depth-d lengths; decode's
+    # also decodes the level's n.  Encode does the rest once over all nodes in
+    # heap order, the strings' order.
     size = 1 << depth
     m = np.zeros(size, dtype=np.int64)
     lengths = np.zeros(size, dtype=np.int64)
@@ -250,20 +244,22 @@ def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState
     _check_granularity(L)
     if not (np.isfinite(tree.thetas[1:]).all() and np.isfinite(tree.phis[1:]).all()):
         raise ValueError("angles must be finite at nodes 1 .. 2^depth - 1")
-    # Vector form of qubit.quantise with the same half-down tie rule.
-    weight = np.cos(tree.thetas / 2.0) ** 2
+    # Vector form of qubit.quantise with the same half-down tie rule.  Slot 0
+    # is no node, so the angle arithmetic starts at node 1.
+    weight = np.cos(tree.thetas[1:] / 2.0) ** 2
 
     def level_m(d: int, lengths: np.ndarray):
-        m = np.ceil(lengths * weight[1 << (d - 1) : 1 << d] - 0.5).astype(np.int64)
+        m = np.ceil(lengths * weight[(1 << (d - 1)) - 1 : (1 << d) - 1] - 0.5).astype(np.int64)
         np.maximum(m, 0, out=m)
         return np.minimum(m, lengths, out=m)
 
     m, lengths = _walk_levels(tree.depth, L, level_m)
     # np.mod returns phases in [0, 2pi) unchanged, so only the others pay for it.
-    phis = tree.phis
+    phis, l = tree.phis[1:], lengths[1:]
     frac = np.mod(phis, TWO_PI, out=phis.copy(), where=(phis < 0) | (phis >= TWO_PI)) / TWO_PI
-    n = np.mod(np.ceil(lengths * frac - 0.5).astype(np.int64), np.maximum(lengths, 1))
-    n[(m == 0) | (m == lengths)] = 0  # degenerate, absent (m <= l) or slot 0
+    n = np.zeros_like(lengths)
+    np.mod(np.ceil(l * frac - 0.5).astype(np.int64), np.maximum(l, 1), out=n[1:])
+    n[(m == 0) | (m == lengths)] = 0  # degenerate or absent (m <= l)
     live = np.flatnonzero(lengths)  # absent nodes would emit empty runs
     signs, runs = _run_table(lengths[live], m[live], n[live])  # level d's: [cuts[d - 1], cuts[d])
     cuts = 3 * np.searchsorted(live, [1 << d for d in range(tree.depth + 1)])
@@ -279,12 +275,13 @@ def decode_nested(strings: Sequence[BitString]) -> NestedState:
     if any(len(s) != L for s in strings):
         raise ValueError("all strings must share one length")
 
-    # The walk counts each level's +1s; one codeword check covers all bits.
+    n = np.zeros(1 << len(strings), dtype=np.int64)
+
     def level_m(d: int, lengths: np.ndarray):
-        return _plus_counts(strings[d - 1].values, lengths)
+        m, n[1 << (d - 1) : 1 << d] = _decode_level(strings[d - 1].values, lengths)
+        return m
 
     m, lengths = _walk_levels(len(strings), L, level_m)
-    n = _segment_phases(np.concatenate([s.values for s in strings]), lengths, m)
     return NestedState(len(strings), L, m, n, lengths)
 
 

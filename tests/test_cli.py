@@ -180,6 +180,20 @@ def test_constants_file_precision_applies_unless_flag_given(capsys, tmp_path, mo
     assert _e_g_digits(run_cli(capsys, *argv, "--precision", "80")[1]) == 80
 
 
+def test_only_capacity_loads_constants(capsys, tmp_path, monkeypatch):
+    # A missing constants file or a precision below 50 digits fails capacity
+    # alone: the other commands never read the constants.
+    capacity = ["capacity", "--mass", "1e-30", "--sep", "5e-9"]
+    monkeypatch.setenv("QGRAIN_CONSTANTS", str(tmp_path / "missing.txt"))
+    assert run_cli(capsys, "encode", "--m", "2", "--n", "0", "--L", "4") == (0, "--++\n", "")
+    code, out, err = run_cli(capsys, *capacity)
+    assert (code, out) == (2, "") and "No such file or directory" in err
+    monkeypatch.delenv("QGRAIN_CONSTANTS")
+    assert run_cli(capsys, "niven", "--cos", "1/2", "--precision", "10") == (0, "admissible\n", "")
+    code, out, err = run_cli(capsys, *capacity, "--precision", "10")
+    assert (code, out) == (2, "") and "precision must be >= 50" in err
+
+
 def test_pauli_verify_pass(capsys):
     code, out, _ = run_cli(capsys, "pauli-verify", "--L", "8")
     assert code == 0

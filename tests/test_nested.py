@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,20 @@ def test_encode_nested_refuses_non_finite_angles(node, theta, phi):
         encode_nested(tree_from(2, pairs), 8)
 
 
+@pytest.mark.parametrize(
+    "theta0, phi0", [(math.nan, math.inf), (math.inf, math.nan), (-math.inf, -math.inf)]
+)
+def test_encode_nested_leaves_slot_zero_alone(theta0, phi0):
+    # Slot 0 is no node, so nothing it holds reaches the arithmetic.
+    def tree(theta0, phi0):
+        return AngleTree(2, np.array([theta0, 1.2, 2.0, 0.9]), np.array([phi0, 0.1, 2.5, 4.0]))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        strings, state = encode_nested(tree(theta0, phi0), 16)
+    assert (strings, state) == encode_nested(tree(0.0, 0.0), 16)
+
+
 @pytest.mark.parametrize("L", [2**63, 2**64, 2**641], ids=["2^63", "2^64", "2^641"])
 def test_granularity_beyond_int64_is_refused(L):
     with pytest.raises(ValueError, match=r"2\^63"):
@@ -226,6 +241,59 @@ def test_decode_nested_length_mismatch_is_reported_first():
     with pytest.raises(ValueError, match="share one length") as excinfo:
         decode_nested(bad)
     assert excinfo.type is ValueError
+
+
+def test_decode_nested_megabit_memory():
+    # Each level is decoded on its own; its largest temporary is the 1-byte
+    # per bit mask of sign changes, so the traced peak stays near 1 MiB.
+    strings, state = encode_nested(random_angle_tree(4, np.random.default_rng(0)), 1 << 20)
+    decode_nested(strings)  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        decoded = decode_nested(strings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decoded == state
+    assert peak <= 2 * 2**20
+
+
+def _decode_segment_by_segment(strings):
+    # Reference for decode_nested: bitstring.decode on every live segment,
+    # root down, with children of lengths m and l - m.
+    depth, L = len(strings), len(strings[0])
+    m, n, lengths = (np.zeros(1 << depth, dtype=np.int64) for _ in range(3))
+    lengths[1] = L
+    for d, string in enumerate(strings, start=1):
+        start = 0
+        for k in range(1 << (d - 1), 1 << d):
+            l = int(lengths[k])
+            if l:
+                q = decode(BitString(string.values[start : start + l])).qubit
+                m[k], n[k] = q.m, q.n
+                start += l
+            if d < depth:
+                lengths[2 * k], lengths[2 * k + 1] = m[k], l - m[k]
+    return nested.NestedState(depth, L, m, n, lengths)
+
+
+@given(st.integers(1, 6), st.integers(1, 32), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=200)
+def test_decode_nested_matches_segment_by_segment_decode(depth, half_L, seed, data):
+    # 0-3 bit flips anywhere in the family: both raise, or both give one state.
+    strings, _ = encode_nested(random_angle_tree(depth, np.random.default_rng(seed)), 2 * half_L)
+    values = [np.array(s.values) for s in strings]
+    bits = st.tuples(st.integers(0, depth - 1), st.integers(0, 2 * half_L - 1))
+    for d, i in data.draw(st.lists(bits, max_size=3), label="flips"):
+        values[d][i] *= -1
+    family = [BitString(v) for v in values]
+    try:
+        expected = _decode_segment_by_segment(family)
+    except NotCodewordError:
+        with pytest.raises(NotCodewordError, match=NOT_CODEWORD):
+            decode_nested(family)
+        return
+    assert decode_nested(family) == expected
 
 
 # Levels of the nested codec: (l, m, n) per segment, absent (l = 0),
