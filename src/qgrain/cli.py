@@ -3,12 +3,15 @@
 Subcommands: capacity, encode, decode, pauli-verify, saturate, niven,
 uncertainty, reduce.  Each ``cmd_*(args, cfg)`` returns ``(ok, doc,
 text_lines)`` and prints nothing to stdout; ``main`` is its only writer, and
-``saturate --timings`` writes per-phase wall times to stderr.  It builds the
-RunConfig, rejects csv outside saturate, and prints ``doc`` with a
+``saturate --timings`` writes per-phase wall times to stderr.  Each
+subcommand takes ``--format``, ``--seed`` and the flags it reads; the parser,
+not ``main``, exits 2 on any other flag and on ``--format csv`` outside
+saturate.  ``main`` builds the RunConfig and prints ``doc`` with a
 schema_version field (--format json) or the text lines (text, or csv for
-saturate).  Output is a pure function of the arguments, seed, precision and
-constants file.  Exit codes: 0 success, 1 verified-property failure (``ok``
-false), 2 usage or precondition error.
+saturate).  Output is a pure function of the arguments and, for capacity, of
+the constants file that ``--constants`` or else ``QGRAIN_CONSTANTS`` names.
+Exit codes: 0 success, 1 verified-property failure (``ok`` false), 2 usage
+or precondition error.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, Overflow, Underflow
 from fractions import Fraction
 from typing import Optional
 
@@ -46,10 +49,7 @@ def _decimal(text: str, what: str) -> Decimal:
 
 
 def cmd_capacity(args: argparse.Namespace, cfg: RunConfig) -> Result:
-    if args.constants:
-        constants = gravity.PhysicalConstants.from_file(args.constants, args.precision)
-    else:
-        constants = gravity.constants_from_env(precision=args.precision)
+    constants = gravity.constants_from_env(args.precision, args.constants)
     scenario = gravity.Scenario(
         M=_decimal(args.mass, "--mass"),
         b=_decimal(args.sep, "--sep"),
@@ -194,46 +194,42 @@ def cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> Result:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text",
-        help="output format (default text; csv for saturate only)",
-    )
-    common.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
-    common.add_argument(
-        "--precision", type=int, default=None,
-        help="significant decimal digits (default: the constants file's precision, else 120)",
-    )
-    common.add_argument("--constants", default=None, help="path to a key=value constants file")
-
     parser = argparse.ArgumentParser(
         prog="qgrain",
         description="Granular qubit states, bit-string codecs and capacity bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("capacity", parents=[common], help="scenario capacity report")
+    def command(name, func, summary, formats=("text", "json")):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--format", choices=formats, default="text", help="output format")
+        p.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("capacity", cmd_capacity, "scenario capacity report")
     p.add_argument("--mass", required=True, help="mass in kg")
     p.add_argument("--sep", required=True, help="superposition separation in m")
     p.add_argument("--qubits", type=int, default=1, help="entangled-qubit mass multiplier")
     p.add_argument("--radius", default=None, help="override characteristic radius in m")
-    p.set_defaults(func=cmd_capacity)
+    p.add_argument(
+        "--precision", type=int, default=None,
+        help="significant decimal digits (default: the constants file's precision, else 120)",
+    )
+    p.add_argument("--constants", default=None, help="path to a key=value constants file")
 
-    p = sub.add_parser("encode", parents=[common], help="grid state to bit string")
+    p = command("encode", cmd_encode, "grid state to bit string")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
-    p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("decode", parents=[common], help="bit string to grid state")
+    p = command("decode", cmd_decode, "bit string to grid state")
     p.add_argument("--bits", required=True, help="string over + and -")
-    p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("pauli-verify", parents=[common], help="check the operator identities")
+    p = command("pauli-verify", cmd_pauli_verify, "check the operator identities")
     p.add_argument("--L", type=int, required=True)
-    p.set_defaults(func=cmd_pauli_verify)
 
-    p = sub.add_parser("saturate", parents=[common], help="fidelity saturation sweep")
+    p = command("saturate", cmd_saturate, "fidelity saturation sweep", ("text", "json", "csv"))
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--n", required=True, help="qubit range, e.g. 1..14")
     p.add_argument("--samples", type=int, required=True)
@@ -242,22 +238,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the wall time of each phase (draw, encode, decode, amplitudes, "
         "fidelity) to stderr",
     )
-    p.set_defaults(func=cmd_saturate)
 
-    p = sub.add_parser("niven", parents=[common], help="rational-cosine admissibility")
+    p = command("niven", cmd_niven, "rational-cosine admissibility")
     p.add_argument("--cos", required=True, help="rational cosine, e.g. 1/2")
-    p.set_defaults(func=cmd_niven)
 
-    p = sub.add_parser("uncertainty", parents=[common], help="sample the spread-product bound")
+    p = command("uncertainty", cmd_uncertainty, "sample the spread-product bound")
     p.add_argument("--samples", type=int, required=True)
-    p.set_defaults(func=cmd_uncertainty)
 
-    p = sub.add_parser("reduce", parents=[common], help="coarsen a grid state")
+    p = command("reduce", cmd_reduce, "coarsen a grid state")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--to", type=int, required=True, help="target granularity")
-    p.set_defaults(func=cmd_reduce)
 
     return parser
 
@@ -292,8 +284,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = RunConfig(args.format, args.seed)
-        if cfg.fmt == "csv" and args.command != "saturate":
-            raise ValueError(f"csv format is only available for saturate, not {args.command}")
         ok, doc, text_lines = args.func(args, cfg)
         if cfg.fmt == "json":
             print(json.dumps({"schema_version": SCHEMA_VERSION, **doc}))
@@ -301,6 +291,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             for line in text_lines:
                 print(line)
         return 0 if ok else 1
+    except (Overflow, Underflow):
+        print("error: the scenario leaves the decimal exponent range (±10^6)", file=sys.stderr)
+        return 2
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

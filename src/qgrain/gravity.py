@@ -21,16 +21,34 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from decimal import Context, Decimal, localcontext
+from decimal import (
+    Context, Decimal, DivisionByZero, InvalidOperation, Overflow, Underflow, localcontext,
+)
 from typing import Optional
 
 from .nested import n_max
 
 _DEC_EXP_LIMIT = 10**6
+_CONSTANT_KEYS = ("G", "hbar", "t_P", "E_P")
 
 
 def _context(precision: int) -> Context:
-    return Context(prec=precision, Emin=-_DEC_EXP_LIMIT, Emax=_DEC_EXP_LIMIT)
+    # Underflow is trapped too: a result rounded to zero or to a subnormal has
+    # lost its digits, so it raises rather than passing on as a value.
+    return Context(
+        prec=precision, Emin=-_DEC_EXP_LIMIT, Emax=_DEC_EXP_LIMIT,
+        traps=[InvalidOperation, DivisionByZero, Overflow, Underflow],
+    )
+
+
+def _require_finite(obj, names: tuple[str, ...], what: str) -> None:
+    for name in names:
+        value = getattr(obj, name)
+        # Decimal and float carry inf/nan; Fraction and int are always finite.
+        if (isinstance(value, Decimal) and not value.is_finite()) or (
+            isinstance(value, float) and not math.isfinite(value)
+        ):
+            raise ValueError(f"{what} {name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -51,7 +69,8 @@ class PhysicalConstants:
     precision: int = 120
 
     def __post_init__(self):
-        for name in ("G", "hbar", "t_P", "E_P"):
+        _require_finite(self, _CONSTANT_KEYS, "constant")
+        for name in _CONSTANT_KEYS:
             if getattr(self, name) <= 0:
                 raise ValueError(f"constant {name} must be positive")
         if self.precision < 50:
@@ -69,12 +88,14 @@ class PhysicalConstants:
                 key, _, value = line.partition("=")
                 key = key.strip()
                 value = value.strip()
-                if key == "precision":
-                    fields[key] = int(value)
-                elif key in ("G", "hbar", "t_P", "E_P"):
-                    fields[key] = Decimal(value)
-                else:
+                if key != "precision" and key not in _CONSTANT_KEYS:
                     raise ValueError(f"unknown constants key {key!r} in {path}")
+                try:
+                    fields[key] = int(value) if key == "precision" else Decimal(value)
+                except (ValueError, InvalidOperation):
+                    raise ValueError(
+                        f"constants key {key!r} in {path} has unparsable value {value!r}"
+                    ) from None
         if precision is not None:
             fields["precision"] = precision
         return cls(**fields)
@@ -86,8 +107,16 @@ DEFAULT_CONSTANTS = PhysicalConstants()
 CONSTANTS_ENV_VAR = "QGRAIN_CONSTANTS"
 
 
-def constants_from_env(precision: Optional[int] = None) -> PhysicalConstants:
-    path = os.environ.get(CONSTANTS_ENV_VAR)
+def constants_from_env(
+    precision: Optional[int] = None, path: Optional[str] = None
+) -> PhysicalConstants:
+    """The constants the CLI evaluates with.
+
+    They come from the file at ``path`` if one is given, else from the file
+    that ``QGRAIN_CONSTANTS`` names, else the CODATA defaults.  ``precision``,
+    when given, overrides the file's ``precision`` key and the default 120.
+    """
+    path = path or os.environ.get(CONSTANTS_ENV_VAR)
     if path:
         return PhysicalConstants.from_file(path, precision=precision)
     if precision is not None:
@@ -105,13 +134,7 @@ class Scenario:
     R_override: Optional[Decimal] = None
 
     def __post_init__(self):
-        for name in ("M", "b", "R_override"):
-            value = getattr(self, name)
-            # Decimal and float carry inf/nan; Fraction and int are always finite.
-            if (isinstance(value, Decimal) and not value.is_finite()) or (
-                isinstance(value, float) and not math.isfinite(value)
-            ):
-                raise ValueError(f"scenario {name} must be finite, got {value}")
+        _require_finite(self, ("M", "b", "R_override"), "scenario")
         if self.M <= 0 or self.b <= 0:
             raise ValueError("mass and separation must be positive")
         if self.qubit_multiplier < 1:

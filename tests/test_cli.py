@@ -180,16 +180,46 @@ def test_constants_file_precision_applies_unless_flag_given(capsys, tmp_path, mo
     assert _e_g_digits(run_cli(capsys, *argv, "--precision", "80")[1]) == 80
 
 
+def _error_lines(err: str) -> int:
+    return sum("error:" in line for line in err.splitlines())
+
+
+@pytest.mark.parametrize(
+    "contents,message",
+    [
+        ("t_P = Infinity\n", "constant t_P must be finite, got Infinity"),
+        ("hbar = nan\n", "constant hbar must be finite, got NaN"),
+        ("G = abc\n", "constants key 'G' in {path} has unparsable value 'abc'"),
+    ],
+    ids=["infinite", "nan", "unparsable"],
+)
+def test_capacity_refuses_bad_constants_file(capsys, tmp_path, contents, message):
+    path = tmp_path / "c.txt"
+    path.write_text(contents)
+    code, out, err = run_cli(
+        capsys, "capacity", "--mass", "1e-30", "--sep", "5e-9", "--constants", str(path)
+    )
+    assert (code, out, err) == (2, "", f"error: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("mass", ["1e-9999999", "1e999999"], ids=["underflow", "overflow"])
+def test_capacity_beyond_decimal_exponent_range_exits_2_in_words(capsys, mass):
+    code, out, err = run_cli(capsys, "capacity", "--mass", mass, "--sep", "5e-9")
+    assert (code, out) == (2, "")
+    assert err == "error: the scenario leaves the decimal exponent range (±10^6)\n"
+
+
 def test_only_capacity_loads_constants(capsys, tmp_path, monkeypatch):
-    # A missing constants file or a precision below 50 digits fails capacity
-    # alone: the other commands never read the constants.
+    # A missing QGRAIN_CONSTANTS file fails capacity alone: the other commands
+    # never read the constants, and refuse --precision as a usage error.
     capacity = ["capacity", "--mass", "1e-30", "--sep", "5e-9"]
     monkeypatch.setenv("QGRAIN_CONSTANTS", str(tmp_path / "missing.txt"))
     assert run_cli(capsys, "encode", "--m", "2", "--n", "0", "--L", "4") == (0, "--++\n", "")
     code, out, err = run_cli(capsys, *capacity)
     assert (code, out) == (2, "") and "No such file or directory" in err
     monkeypatch.delenv("QGRAIN_CONSTANTS")
-    assert run_cli(capsys, "niven", "--cos", "1/2", "--precision", "10") == (0, "admissible\n", "")
+    code, out, err = run_cli(capsys, "niven", "--cos", "1/2", "--precision", "10")
+    assert (code, out) == (2, "") and _error_lines(err) == 1
     code, out, err = run_cli(capsys, *capacity, "--precision", "10")
     assert (code, out) == (2, "") and "precision must be >= 50" in err
 
@@ -376,23 +406,62 @@ def test_csv_rejected_outside_saturate(capsys):
     assert code == 2 and "csv" in err
 
 
+# One cheap, successful invocation of each command.
+_RUNS = {
+    "capacity": ["capacity", "--mass", "1e-30", "--sep", "5e-9"],
+    "encode": ["encode", "--m", "2", "--n", "0", "--L", "4"],
+    "decode": ["decode", "--bits", "--++"],
+    "pauli-verify": ["pauli-verify", "--L", "8"],
+    "saturate": ["saturate", "--L", "32", "--n", "1..2", "--samples", "5"],
+    "niven": ["niven", "--cos", "-1/2"],
+    "uncertainty": ["uncertainty", "--samples", "100"],
+    "reduce": ["reduce", "--m", "3", "--n", "5", "--L", "8", "--to", "2"],
+}
+
+
+def _refused_flags(command: str, constants: str) -> list[list[str]]:
+    refused = []
+    if command != "capacity":
+        refused += [["--precision", "80"], ["--constants", constants]]
+    if command != "saturate":
+        refused.append(["--format", "csv"])
+    return refused
+
+
+@pytest.mark.parametrize("command", sorted(_RUNS))
+def test_each_command_refuses_flags_it_does_not_read(capsys, tmp_path, command):
+    constants = tmp_path / "c.txt"
+    constants.write_text("precision = 80\n")
+    for extra in _refused_flags(command, str(constants)):
+        code, out, err = run_cli(capsys, *_RUNS[command], *extra)
+        assert (code, out) == (2, ""), extra
+        assert _error_lines(err) == 1, extra
+    assert run_cli(capsys, *_RUNS[command], "--seed", "3")[0] == 0
+
+
+def test_readme_cli_lines_parse():
+    # Parse, do not run: the README's saturate sweep alone takes seconds.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("\n## CLI\n"):]
+    block = section[section.index("```sh\n") + 6:]
+    block = block[:block.index("```")]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    lines = [line for line in lines if line[:1] == ["qgrain"]]
+    assert len(lines) >= 8
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            args = parser.parse_args(cli._merge_bits_value(line[1:]))
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {' '.join(line)}")
+        assert args.command == line[1]
+
+
 def test_unknown_command_exits_2(capsys):
     assert cli.main(["frobnicate"]) == 2
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["capacity", "--mass", "1e-30", "--sep", "5e-9"],
-        ["encode", "--m", "2", "--n", "0", "--L", "4"],
-        ["decode", "--bits", "--++"],
-        ["pauli-verify", "--L", "8"],
-        ["saturate", "--L", "32", "--n", "1..2", "--samples", "5"],
-        ["niven", "--cos", "-1/2"],
-        ["uncertainty", "--samples", "100"],
-        ["reduce", "--m", "3", "--n", "5", "--L", "8", "--to", "2"],
-    ],
-)
+@pytest.mark.parametrize("argv", list(_RUNS.values()))
 def test_every_command_emits_versioned_json(capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0

@@ -1,6 +1,6 @@
 import math
 import warnings
-from decimal import Decimal
+from decimal import Decimal, Underflow
 from fractions import Fraction
 
 import pytest
@@ -225,6 +225,34 @@ def test_constants_validation():
     assert Scenario(M=Decimal("1e400000"), b=Decimal(1)).M == Decimal("1e400000")
 
 
+@pytest.mark.parametrize(
+    "value",
+    [Decimal("Infinity"), Decimal("-Infinity"), Decimal("NaN"), Decimal("sNaN"),
+     float("inf"), float("nan")],
+)
+@pytest.mark.parametrize("name", ["G", "hbar", "t_P", "E_P"])
+def test_non_finite_constant_is_refused_by_name(name, value):
+    with pytest.raises(ValueError, match=f"constant {name} must be finite"):
+        PhysicalConstants(**{name: value})
+
+
+@pytest.mark.parametrize("line", ["G = abc", "hbar = 1e-34e", "E_P =", "precision = 1e3"])
+def test_unparsable_constant_names_key_and_path(tmp_path, line):
+    path = tmp_path / "c.txt"
+    path.write_text(line + "\n")
+    key = line.split("=")[0].strip()
+    with pytest.raises(ValueError, match="unparsable") as info:
+        PhysicalConstants.from_file(str(path))
+    assert repr(key) in str(info.value) and str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("mass", ["1.23456789e-90930", "9.87e-90990"])
+def test_self_energy_below_the_exponent_range_raises_underflow(mass):
+    # G^4 M^11 lands below 10^-1000000: rounding it to zero would be silent.
+    with pytest.raises(Underflow):
+        e_g_small_b(Decimal(mass), Decimal("5e-9"))
+
+
 def test_constants_file_and_env(tmp_path, monkeypatch):
     path = tmp_path / "constants.txt"
     path.write_text(
@@ -241,6 +269,11 @@ def test_constants_file_and_env(tmp_path, monkeypatch):
     assert c2.precision == 150
     monkeypatch.setenv(CONSTANTS_ENV_VAR, str(path))
     assert constants_from_env().E_P == Decimal("2e9")
+    # An explicit path wins over the environment, and precision over both files.
+    given = tmp_path / "given.txt"
+    given.write_text("E_P = 3e9\n")
+    assert constants_from_env(path=str(given)) == PhysicalConstants(E_P=Decimal("3e9"))
+    assert constants_from_env(70).precision == 70
     monkeypatch.delenv(CONSTANTS_ENV_VAR)
     assert constants_from_env() is DEFAULT_CONSTANTS
     bad = tmp_path / "bad.txt"
