@@ -183,10 +183,28 @@ def apply_permutation(s: BitString, perm: np.ndarray) -> BitString:
     return BitString._trusted(s.values.take(perm))
 
 
+_KEY_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
+
+
 def _sorted_columns(family: list[BitString]) -> np.ndarray:
-    mat = np.stack([s.values for s in family]).T  # (L, N) index columns
-    order = np.lexsort(mat.T[::-1])
-    return mat[order]
+    # Each column's signs packed into unsigned keys, one key row per 64
+    # strings: string n sets a bit of row n // 64 where it holds +1.  The
+    # keys are the narrowest type that holds min(N, 64) bits, and sorting
+    # them (rows lexicographically when N > 64) sorts the columns.  numpy
+    # radix-sorts 8-bit keys under kind="stable", ~5x faster there than its
+    # default, which is the faster one for the wider keys.
+    width = min(len(family), 64)
+    dtype = next(t for t in _KEY_DTYPES if np.iinfo(t).bits >= width)
+    keys = np.zeros((-(-len(family) // 64), len(family[0])), dtype=dtype)
+    plus = np.empty(keys.shape[1], dtype=bool)
+    for n, s in enumerate(family):
+        row = keys[n // 64]
+        np.left_shift(row, 1, out=row)
+        row |= np.greater(s.values, 0, out=plus)
+    if len(keys) == 1:
+        keys.sort(kind="stable" if dtype is np.uint8 else None)
+        return keys
+    return keys[:, np.lexsort(keys[::-1])]
 
 
 def equivalent_mod_xi(family1: list[BitString], family2: list[BitString]) -> bool:
@@ -194,6 +212,9 @@ def equivalent_mod_xi(family1: list[BitString], family2: list[BitString]) -> boo
 
     Column c of a family is the tuple of c-th entries across its strings; a
     shared relabelling exists iff the two multisets of columns coincide.
+    Each column is packed into one unsigned key per 64 strings (uint8 up to
+    8 strings, ..., uint64 up to 64), and the sorted keys are compared, so
+    the test is exact for every family size.
     """
     if len(family1) != len(family2):
         raise ValueError("families must contain the same number of strings")

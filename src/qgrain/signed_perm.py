@@ -20,19 +20,28 @@ from .bitstring import BitString, concat, cyc, equivalent_mod_xi, iota, negate
 
 
 class SignedPermutation:
-    """A bijection on 0..L-1 together with a per-index sign."""
+    """A bijection on 0..L-1 together with a per-index sign.
+
+    The map is stored in the canonical dtype for its length (int32 up to
+    L = 2^31, int64 above; see ``_map_dtype``) and the signs as int8, so one
+    operator costs 5 bytes per entry below 2^31.  The constructor checks the
+    caller's values before it narrows them, so no out-of-range index can wrap
+    into a valid map.
+    """
 
     __slots__ = ("_map", "_signs")
 
     def __init__(self, index_map: np.ndarray, signs: np.ndarray):
-        index_map = np.asarray(index_map, dtype=np.int64).copy()
-        signs = np.asarray(signs, dtype=np.int8).copy()
+        index_map = np.asarray(index_map)
+        signs = np.asarray(signs)
         if index_map.shape != signs.shape or index_map.ndim != 1:
             raise ValueError("map and signs must be 1-D of equal length")
         if not np.array_equal(np.sort(index_map), np.arange(index_map.size)):
             raise ValueError("map must be a bijection on 0..L-1")
         if not np.all((signs == 1) | (signs == -1)):
             raise ValueError("signs must be +1 or -1")
+        index_map = index_map.astype(_map_dtype(index_map.size))
+        signs = signs.astype(np.int8)
         index_map.flags.writeable = False
         signs.flags.writeable = False
         self._map = index_map
@@ -40,7 +49,8 @@ class SignedPermutation:
 
     @classmethod
     def _trusted(cls, index_map: np.ndarray, signs: np.ndarray) -> "SignedPermutation":
-        # A fresh int64 bijection and equal-length int8 +-1 signs: no copy, no check.
+        # A fresh bijection in the canonical map dtype and equal-length int8
+        # +-1 signs: no copy, no check.
         op = object.__new__(cls)
         index_map.flags.writeable = False
         signs.flags.writeable = False
@@ -106,13 +116,22 @@ def _require_int64(L: int) -> None:
         raise ValueError(f"operator needs L < 2^63 (int64 limit), got L={L}")
 
 
+# Largest length whose indices 0..L-1 all fit in int32.
+_INT32_MAX_L = 1 << 31
+
+
+def _map_dtype(L: int) -> np.dtype:
+    """Canonical index-map dtype for length L: int32 up to 2^31, int64 above."""
+    return np.dtype(np.int32 if L <= _INT32_MAX_L else np.int64)
+
+
 def _identity(L: int) -> tuple[np.ndarray, np.ndarray]:
     # The int8 signs come first: from 2^60 entries the int64 map exceeds
     # numpy's size limit (a ValueError), while L < 2^63 bytes of signs fail
     # to allocate as the MemoryError every other huge L gives.
     _require_int64(L)
     signs = np.ones(L, dtype=np.int8)
-    return np.arange(L, dtype=np.int64), signs
+    return np.arange(L, dtype=_map_dtype(L)), signs
 
 
 def identity_op(L: int) -> SignedPermutation:
@@ -129,14 +148,16 @@ def _blocks(L: int, d: int, block, columns, signs) -> tuple[np.ndarray, np.ndarr
     # (map, signs) of the 2 x 2 block form needing d | L: block row r holds
     # signs[r] * block(L/2) in block column columns[r].  block(h) runs first,
     # so a huge L fails on the innermost int8 allocation, as in _identity.
+    # The offset add runs in the output dtype: an int32 half-block widens into
+    # an int64 map once L > 2^31, where c * h no longer fits in int32.
     _require_divisible(L, d)
     h = L // 2
     block_map, block_signs = block(h)
     out_signs = np.empty(L, dtype=np.int8)
-    out_map = np.empty(L, dtype=np.int64)
+    out_map = np.empty(L, dtype=_map_dtype(L))
     for r, (c, s) in enumerate(zip(columns, signs)):
         rows = slice(r * h, (r + 1) * h)
-        np.add(block_map, c * h, out=out_map[rows])
+        np.add(block_map, c * h, out=out_map[rows], dtype=out_map.dtype)
         np.multiply(block_signs, s, out=out_signs[rows])
     return out_map, out_signs
 

@@ -3,7 +3,7 @@
 Each oracle deliberately avoids the code path it validates: the angle oracle
 enumerates every angle that is a rational multiple of pi (denominator-bounded)
 and tests cosine membership at high precision; the dense oracle multiplies
-full matrices.
+full matrices; the column oracle lexsorts the raw sign columns.
 """
 
 from __future__ import annotations
@@ -70,3 +70,17 @@ def dense_apply(op, values: np.ndarray) -> np.ndarray:
     """Matrix-vector (or matrix-batch) product with the dense operator form."""
     dense = op.to_dense().astype(np.float64)
     return (dense @ values.astype(np.float64).T).T.astype(np.int8)
+
+
+def equivalent_mod_xi(family1, family2) -> bool:
+    """Column-multiset equality of two equal-sized families of bit strings.
+
+    Stacks each family into an (L, N) matrix of sign columns, orders the
+    columns with ``np.lexsort`` and compares the sorted matrices.
+    """
+
+    def sorted_columns(family) -> np.ndarray:
+        mat = np.stack([s.values for s in family]).T
+        return mat[np.lexsort(mat.T[::-1])]
+
+    return np.array_equal(sorted_columns(family1), sorted_columns(family2))

@@ -1,5 +1,6 @@
 from fractions import Fraction
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from qgrain.bitstring import (
 )
 from qgrain.nested import encode_nested, random_angle_tree
 from qgrain.qubit import DiscretisedQubit
+
+import oracles
 
 
 def bits(*vals):
@@ -154,6 +157,60 @@ def test_equivalent_mod_xi_equivalence_relation(N, L, seed):
     assert equivalent_mod_xi(base, base)  # reflexive
     assert equivalent_mod_xi(base, fam_b) and equivalent_mod_xi(fam_b, base)  # symmetric
     assert equivalent_mod_xi(base, fam_c)  # transitive through fam_b
+
+
+def _family(rows: np.ndarray) -> list[BitString]:
+    return [BitString(row) for row in rows]
+
+
+# Across every key width (8, 16, 32, 64 strings) and the split into one key
+# row per 64 strings.
+@pytest.mark.parametrize("N", [1, 2, 7, 8, 9, 16, 17, 63, 64, 65, 130])
+@pytest.mark.parametrize("distinct", [3, None], ids=["3-columns", "free"])
+def test_equivalent_mod_xi_matches_the_lexsort_oracle(N, distinct):
+    # distinct=3 draws every column from three, so columns repeat.
+    L = 97
+    rng = np.random.default_rng([N, distinct or 0])
+    signs = np.array([1, -1], dtype=np.int8)
+    if distinct:
+        mat = rng.choice(signs, size=(N, distinct))[:, rng.integers(0, distinct, L)]
+    else:
+        mat = rng.choice(signs, size=(N, L))
+    base = _family(mat)
+    cases = {
+        "column-permuted": (mat[:, rng.permutation(L)], True),
+        "first string flipped": (mat.copy(), False),
+        "last string flipped": (mat.copy(), False),
+        "halves permuted apart": (mat.copy(), None),
+        "unrelated": (rng.choice(signs, size=(N, L)), None),
+    }
+    cases["first string flipped"][0][0, 5] *= -1
+    cases["last string flipped"][0][-1, 90] *= -1
+    # Each part keeps its own columns but loses their pairing; at N = 130 the
+    # split falls between key rows.
+    halves = cases["halves permuted apart"][0]
+    split = min(64, N // 2)
+    halves[split:] = halves[split:, rng.permutation(L)]
+    for name, (other, want) in cases.items():
+        got = equivalent_mod_xi(base, _family(other))
+        assert got == oracles.equivalent_mod_xi(base, _family(other)), name
+        assert want is None or got == want, name
+
+
+def test_equivalent_mod_xi_megabit_memory():
+    # One packed uint8 key per column: two L-byte key arrays and one L-byte
+    # bool, where lexsort's int64 order alone was 8 bytes per column.
+    L = 1 << 20
+    equator = iota(L, L // 2)
+    pair = ([cyc(equator, 3 * L // 4)], [equator])
+    assert equivalent_mod_xi(*pair)  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        assert equivalent_mod_xi(*pair)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5, f"equivalent_mod_xi at N=1, L=2^20 peaked at {peak:.1f} MiB"
 
 
 def test_negate_and_concat():

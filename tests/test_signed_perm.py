@@ -124,9 +124,11 @@ def test_compose_matches_dense_product():
 
 
 def assert_canonical(op):
-    # A library-built operator: read-only int64 map and int8 signs that the
-    # public constructor accepts unchanged.
-    assert op.index_map.dtype == np.int64 and op.signs.dtype == np.int8
+    # A library-built operator: a read-only map in the dtype its length
+    # selects and read-only int8 signs, which the public constructor accepts
+    # unchanged.
+    assert op.index_map.dtype == signed_perm._map_dtype(len(op))
+    assert op.signs.dtype == np.int8
     assert not op.index_map.flags.writeable and not op.signs.flags.writeable
     assert SignedPermutation(op.index_map, op.signs) == op
 
@@ -143,6 +145,60 @@ def test_built_operators_are_read_only_and_canonical(L):
         out = apply(a, s)
         assert out.values.dtype == np.int8 and not out.values.flags.writeable
         assert BitString(out.values) == out
+
+
+def test_map_dtype_boundary():
+    # Indices run to L - 1, so int32 holds every map up to L = 2^31.
+    assert signed_perm._map_dtype(1) == np.int32
+    assert signed_perm._map_dtype(2**31) == np.int32
+    assert signed_perm._map_dtype(2**31 + 1) == np.int64
+    assert signed_perm._map_dtype(2**63 - 1) == np.int64
+
+
+@pytest.mark.parametrize("factory", [make_i, make_k, make_ilittle, make_pauli_y])
+def test_int32_half_blocks_widen_into_an_int64_map(monkeypatch, factory):
+    # With the threshold at 4, L = 8 builds its int64 map from int32 blocks
+    # of length 4, as L in (2^31, 2^32] does from int32 blocks of 2^31.
+    L = 8
+    want = factory(L)
+    monkeypatch.setattr(signed_perm, "_INT32_MAX_L", 4)
+    got = factory(L)
+    assert got.index_map.dtype == np.int64 and want.index_map.dtype == np.int32
+    assert got == want
+    assert_canonical(got)
+
+
+@pytest.mark.parametrize("factory", [make_i, make_k, make_ilittle, make_pauli_y])
+def test_block_offsets_are_added_in_the_output_dtype(monkeypatch, factory):
+    # The same widening in miniature: int8 blocks of length 128 hold no
+    # offset c * h = 128, so an add in the block's dtype would overflow.
+    L = 256
+    want = factory(L)
+    monkeypatch.setattr(
+        signed_perm, "_map_dtype", lambda n: np.dtype(np.int8 if n <= 128 else np.int64)
+    )
+    got = factory(L)
+    assert got.index_map.dtype == np.int64
+    assert got == want
+
+
+def test_constructor_checks_the_map_before_narrowing_it():
+    # Cast to int32 first, 2^32 + 1 would wrap to the valid map [1, 0].
+    for index_map in ([2**32 + 1, 0], np.array([2**32 + 1, 0]), [2**64 + 1, 0]):
+        with pytest.raises(ValueError, match="bijection"):
+            SignedPermutation(index_map, [1, 1])
+    # Cast to int8 first, 257 and 255 would wrap to the valid signs 1 and -1.
+    for signs in (np.array([257, 1]), np.array([255, 1])):
+        with pytest.raises(ValueError, match="signs"):
+            SignedPermutation([0, 1], signs)
+
+
+@pytest.mark.parametrize("factory", [make_j, make_k, make_pauli_y])
+def test_wide_copy_of_a_built_map_gives_an_equal_operator(factory):
+    op = factory(64)
+    copy = SignedPermutation(op.index_map.astype(np.int64), op.signs.astype(np.int64))
+    assert copy == op and hash(copy) == hash(op)
+    assert_canonical(copy)
 
 
 BUILDERS = [factory for factory, _ in GENERATORS.values()] + [
@@ -262,15 +318,16 @@ def _traced_peak_mib(check, L):
 
 
 def test_verify_quaternion_megabit_memory():
-    # Three 9-byte-per-entry operators: i, j and i*j while they are composed.
+    # Three 5-byte-per-entry operators (int32 map, int8 signs): i, j and i*j
+    # while they are composed, plus the L-byte bool of one equality test.
     peak = _traced_peak_mib(verify_quaternion, 1 << 20)
-    assert peak <= 30, f"verify_quaternion(2^20) peaked at {peak:.1f} MiB"
+    assert peak <= 17, f"verify_quaternion(2^20) peaked at {peak:.1f} MiB"
 
 
 @pytest.mark.parametrize("check", [verify_spin_identities, self_similar_split])
 def test_spin_checks_megabit_memory(check):
     peak = _traced_peak_mib(check, 1 << 20)
-    assert peak <= 18, f"{check.__name__}(2^20) peaked at {peak:.1f} MiB"
+    assert peak <= 11, f"{check.__name__}(2^20) peaked at {peak:.1f} MiB"
 
 
 def test_verify_spin_identities():
