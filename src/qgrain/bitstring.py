@@ -187,12 +187,10 @@ _KEY_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
 def _sorted_columns(family: list[BitString]) -> np.ndarray:
-    # Each column's signs packed into unsigned keys, one key row per 64
-    # strings: string n sets a bit of row n // 64 where it holds +1.  The
-    # keys are the narrowest type that holds min(N, 64) bits, and sorting
-    # them (rows lexicographically when N > 64) sorts the columns.  numpy
-    # radix-sorts 8-bit keys under kind="stable", ~5x faster there than its
-    # default, which is the faster one for the wider keys.
+    # String n shifts into key row n // 64 one bit, set where it holds +1;
+    # sorting the keys (rows lexicographically when N > 64) sorts the
+    # columns.  numpy radix-sorts 8-bit keys under kind="stable", ~5x faster
+    # there than its default, which is the faster one for the wider keys.
     width = min(len(family), 64)
     dtype = next(t for t in _KEY_DTYPES if np.iinfo(t).bits >= width)
     keys = np.zeros((-(-len(family) // 64), len(family[0])), dtype=dtype)

@@ -155,31 +155,26 @@ def test_map_dtype_boundary():
     assert signed_perm._map_dtype(2**63 - 1) == np.int64
 
 
-@pytest.mark.parametrize("factory", [make_i, make_k, make_ilittle, make_pauli_y])
-def test_int32_half_blocks_widen_into_an_int64_map(monkeypatch, factory):
+WIDENINGS = {
     # With the threshold at 4, L = 8 builds its int64 map from int32 blocks
     # of length 4, as L in (2^31, 2^32] does from int32 blocks of 2^31.
-    L = 8
+    "int32": (8, "_INT32_MAX_L", 4),
+    # int8 blocks of length 128 cannot hold the offset c * h = 128, as int32
+    # blocks cannot hold 2^31: an add in the block's dtype would overflow.
+    "int8": (256, "_map_dtype", lambda n: np.dtype(np.int8 if n <= 128 else np.int64)),
+}
+
+
+@pytest.mark.parametrize("factory", [make_i, make_k, make_ilittle, make_pauli_y])
+@pytest.mark.parametrize("widening", sorted(WIDENINGS))
+def test_narrow_half_blocks_widen_into_an_int64_map(monkeypatch, widening, factory):
+    L, name, patch = WIDENINGS[widening]
     want = factory(L)
-    monkeypatch.setattr(signed_perm, "_INT32_MAX_L", 4)
+    monkeypatch.setattr(signed_perm, name, patch)
     got = factory(L)
     assert got.index_map.dtype == np.int64 and want.index_map.dtype == np.int32
     assert got == want
     assert_canonical(got)
-
-
-@pytest.mark.parametrize("factory", [make_i, make_k, make_ilittle, make_pauli_y])
-def test_block_offsets_are_added_in_the_output_dtype(monkeypatch, factory):
-    # The same widening in miniature: int8 blocks of length 128 hold no
-    # offset c * h = 128, so an add in the block's dtype would overflow.
-    L = 256
-    want = factory(L)
-    monkeypatch.setattr(
-        signed_perm, "_map_dtype", lambda n: np.dtype(np.int8 if n <= 128 else np.int64)
-    )
-    got = factory(L)
-    assert got.index_map.dtype == np.int64
-    assert got == want
 
 
 def test_constructor_checks_the_map_before_narrowing_it():
