@@ -1,5 +1,10 @@
 """Length-L bit strings over {+1, -1} and the grid-state codec.
 
+A string is stored as its +1 mask packed eight bits to a byte (``np.packbits``
+order: the first bit is the high bit of the first byte, and the padding bits
+of the last byte are zero) together with its length L, so N strings of L bits
+cost L*N/8 bytes, the bit count of the capacity bound.
+
 A grid state (m, n, L) is carried by the string obtained from the block
 pattern of m leading +1s by a cyclic shift of L/2 + n places.  The +1
 frequency of the string is the Born weight m/L; the cyclic offset carries the
@@ -24,54 +29,70 @@ class NotCodewordError(ValueError):
 
 
 class BitString:
-    """Immutable 1-D array of +1/-1 entries."""
+    """Immutable 1-D sequence of +1/-1 entries, stored eight to a byte."""
 
-    __slots__ = ("_values",)
+    __slots__ = ("_bits", "_length")
 
     def __init__(self, values: Iterable[int] | np.ndarray):
-        arr = np.asarray(values, dtype=np.int8).copy()
+        # The caller's values are checked as given, before anything narrows
+        # them, so no out-of-range entry can wrap into a valid one.
+        arr = np.asarray(values)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("a bit string is a non-empty 1-D sequence")
-        if not np.all((arr == 1) | (arr == -1)):
+        plus = arr == 1
+        if not np.all(plus | (arr == -1)):
             raise ValueError("entries must be +1 or -1")
-        arr.flags.writeable = False
-        self._values = arr
+        bits = np.packbits(plus)
+        bits.flags.writeable = False
+        self._bits = bits
+        self._length = arr.size
 
     @classmethod
-    def _trusted(cls, values: np.ndarray) -> "BitString":
-        # Wraps a fresh 1-D int8 array of +1/-1 entries that the caller built
-        # and hands over: no copy and no check.
+    def _trusted(cls, bits: np.ndarray, length: int) -> "BitString":
+        # Wraps fresh packed bytes of a length-bit +1 mask, zero-padded, that
+        # the caller built and hands over: no copy and no check.
         s = object.__new__(cls)
-        values.flags.writeable = False
-        s._values = values
+        bits.flags.writeable = False
+        s._bits = bits
+        s._length = length
         return s
+
+    def _plus(self) -> np.ndarray:
+        # Fresh uint8 array, 1 where the string holds +1 and 0 where -1.
+        return np.unpackbits(self._bits, count=self._length)
 
     @property
     def values(self) -> np.ndarray:
-        return self._values
+        """The entries as a fresh read-only int8 array of +1 and -1."""
+        v = np.left_shift(self._plus(), 1, dtype=np.int8)
+        v -= 1
+        v.flags.writeable = False
+        return v
 
     @property
     def plus_count(self) -> int:
-        return int(np.count_nonzero(self._values == 1))
+        return int.from_bytes(self._bits.tobytes(), "big").bit_count()
 
     def __len__(self) -> int:
-        return self._values.size
+        return self._length
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitString):
             return NotImplemented
-        return np.array_equal(self._values, other._values)
+        return self._length == other._length and self._bits.tobytes() == other._bits.tobytes()
 
     def __hash__(self) -> int:
-        return hash(self._values.tobytes())
+        return hash((self._length, self._bits.tobytes()))
 
     def __repr__(self) -> str:
         return f"BitString({to_text(self)!r})"
 
 
 def to_text(s: BitString) -> str:
-    """Render as a string over '+' and '-' (bytes 44 - v: 43 and 45)."""
-    return (44 - s.values).tobytes().decode("ascii")
+    """Render as a string over '+' and '-' (bytes 45 - 2 * bit: 43 and 45)."""
+    text = s._plus()
+    text <<= 1
+    return np.subtract(45, text, out=text).tobytes().decode("ascii")
 
 
 def from_text(text: str) -> BitString:
@@ -82,11 +103,11 @@ def from_text(text: str) -> BitString:
         if length != len(body):
             raise ValueError(f"length header {length} does not match body of {len(body)}")
         text = body
-    # 44 - byte is +1 for '+' (43), -1 for '-' (45) and neither for other bytes.
-    values = 44 - np.frombuffer(text.encode("ascii", "replace"), dtype=np.int8)
-    if not text or np.any(np.abs(values) != 1):
+    raw = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    plus = raw == 43  # '+'; '-' is 45
+    if not text or not np.all(plus | (raw == 45)):
         raise ValueError("bit-string text must be non-empty over '+' and '-'")
-    return BitString._trusted(values)
+    return BitString._trusted(np.packbits(plus), plus.size)
 
 
 def to_wire(s: BitString) -> str:
@@ -100,22 +121,27 @@ def iota(L: int, m: int) -> BitString:
         raise ValueError(f"string needs L in [1, 2^63) (int64 limit), got L={L}")
     if not 0 <= m <= L:
         raise ValueError(f"m must lie in [0, L={L}], got {m}")
-    v = np.full(L, -1, dtype=np.int8)
-    v[:m] = 1
-    return BitString._trusted(v)
+    bits = np.zeros(-(-L // 8), dtype=np.uint8)
+    whole, rest = divmod(m, 8)
+    bits[:whole] = 0xFF
+    if rest:
+        bits[whole] = 0xFF << (8 - rest) & 0xFF
+    return BitString._trusted(bits, L)
 
 
 def cyc(s: BitString, k: int) -> BitString:
     """k-fold cyclic shift: out[i] = s[(i + k) mod L]."""
-    return BitString._trusted(np.roll(s.values, -(k % len(s))))
+    return BitString._trusted(np.packbits(np.roll(s._plus(), -(k % len(s)))), len(s))
 
 
 def negate(s: BitString) -> BitString:
-    return BitString._trusted(-s.values)
+    bits = np.invert(s._bits)
+    bits[-1] &= 0xFF << (-len(s) % 8) & 0xFF  # the padding stays zero
+    return BitString._trusted(bits, len(s))
 
 
 def concat(a: BitString, b: BitString) -> BitString:
-    return BitString._trusted(np.concatenate([a.values, b.values]))
+    return BitString._trusted(np.packbits(np.concatenate((a._plus(), b._plus()))), len(a) + len(b))
 
 
 def encode(q: DiscretisedQubit) -> BitString:
@@ -143,12 +169,12 @@ def decode(s: BitString) -> Decoded:
     unobservable).  Raises NotCodewordError when the +1s are not one
     cyclic block.
     """
-    v = s.values
-    L = v.size
-    m = int(np.count_nonzero(v == 1))
+    L = len(s)
+    m = s.plus_count
     if m == 0 or m == L:
         return Decoded(DiscretisedQubit(m, 0, L), True)
-    block_starts = np.flatnonzero((v == 1) & (np.roll(v, 1) == -1))
+    plus = s._plus()
+    block_starts = np.flatnonzero(plus > np.roll(plus, 1))
     if block_starts.size != 1:
         raise NotCodewordError(
             f"{to_text(s)!r} is not a cyclic shift of a contiguous +1 block"
@@ -180,25 +206,24 @@ def apply_permutation(s: BitString, perm: np.ndarray) -> BitString:
     perm = np.asarray(perm)
     if not np.array_equal(np.sort(perm), np.arange(len(s))):
         raise ValueError("perm must be a bijection on 0..L-1")
-    return BitString._trusted(s.values.take(perm))
+    return BitString._trusted(np.packbits(s._plus().take(perm)), len(s))
 
 
 _KEY_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)
 
 
 def _sorted_columns(family: list[BitString]) -> np.ndarray:
-    # String n shifts into key row n // 64 one bit, set where it holds +1;
+    # String n shifts its +1 mask into key row n // 64 one bit at a time;
     # sorting the keys (rows lexicographically when N > 64) sorts the
     # columns.  numpy radix-sorts 8-bit keys under kind="stable", ~5x faster
     # there than its default, which is the faster one for the wider keys.
     width = min(len(family), 64)
     dtype = next(t for t in _KEY_DTYPES if np.iinfo(t).bits >= width)
     keys = np.zeros((-(-len(family) // 64), len(family[0])), dtype=dtype)
-    plus = np.empty(keys.shape[1], dtype=bool)
     for n, s in enumerate(family):
         row = keys[n // 64]
         np.left_shift(row, 1, out=row)
-        row |= np.greater(s.values, 0, out=plus)
+        row |= s._plus()
     if len(keys) == 1:
         keys.sort(kind="stable" if dtype is np.uint8 else None)
         return keys

@@ -7,10 +7,12 @@ bits each: string d concatenates, in node order, one codeword per depth-d
 node, where a node's segment length equals the +1 count (m) or -1 count of
 its parent segment.  Zero-length segments are absent branches; length-1
 segments are classical bits (m in {0, 1}, n = 0).  Decoding runs level by
-level: one pass over a level's sign changes gives its m, n and codeword
-check, and its m give the next level's lengths.  Encoding walks the levels
-only for that length recurrence and emits the runs once per family, in heap
-order.  Both cover live (l > 0) segments only.  The
+level: one pass over a level's sign changes, found on its packed bytes,
+gives its m, n and codeword check, and its m give the next level's lengths.
+Encoding walks the levels only for that length recurrence and builds the
+runs once per family, in heap order; each level is expanded one byte per bit
+and then packed eight bits to a byte.  Both cover live (l > 0) segments
+only.  The
 saturation sweep takes the exact state only on the quantised state's support:
 off it each overlap term is +-0 either way, so the fidelity is the same float.
 It runs one sample at a time and draws, decodes (``decode_nested``) and
@@ -18,9 +20,9 @@ expands each sample once, at the deepest N: a shallower tree is the heap
 prefix of the deeper one, its strings are the first strings of the deeper
 family, and its dense vector is an intermediate level of the deeper expansion.
 
-Capacity counting: the N strings hold L*N bits while the state has
-2^(N+1) - 2 real degrees of freedom, which bounds the usable qubit number
-``n_max(L)``.
+Capacity counting: the N strings hold L*N bits (stored in L*N/8 bytes)
+while the state has 2^(N+1) - 2 real degrees of freedom, which bounds the
+usable qubit number ``n_max(L)``.
 """
 
 from __future__ import annotations
@@ -163,9 +165,9 @@ class NestedState:
 
 
 def _run_table(lengths: np.ndarray, m: np.ndarray, n: np.ndarray):
-    # (sign, run) table of the codewords cyc(iota(l, m), l//2 + n), three runs
-    # per segment.  The +1 block starts at a = -(l//2 + n) mod l and wraps
-    # past the segment end iff a + m > l.  No wrap: -1 x a, +1 x m,
+    # (bit, run) table of the codewords cyc(iota(l, m), l//2 + n), three runs
+    # per segment, bit 1 for +1.  The +1 block starts at a = -(l//2 + n) mod l
+    # and wraps past the segment end iff a + m > l.  No wrap: -1 x a, +1 x m,
     # -1 x (l - a - m); wrap: +1 x (a + m - l), -1 x (l - m), +1 x (l - a).
     a = -(lengths // 2 + n) % np.maximum(lengths, 1)
     wrap = a + m > lengths
@@ -173,42 +175,54 @@ def _run_table(lengths: np.ndarray, m: np.ndarray, n: np.ndarray):
     runs[:, 0] = np.where(wrap, a + m - lengths, a)
     runs[:, 1] = np.where(wrap, lengths - m, m)
     runs[:, 2] = lengths - runs[:, 0] - runs[:, 1]
-    signs = np.array([[-1, 1, -1], [1, -1, 1]], dtype=np.int8).take(wrap, axis=0)  # row by wrap
-    return signs.ravel(), runs.ravel()
+    bits = np.array([[0, 1, 0], [1, 0, 1]], dtype=np.uint8).take(wrap, axis=0)  # row by wrap
+    return bits.ravel(), runs.ravel()
 
 
 def _level_codeword(lengths: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    # Concatenated codewords of consecutive segments.
-    return np.repeat(*_run_table(lengths, m, n))
+    # Concatenated codewords of consecutive segments, as packed bytes.
+    return np.packbits(np.repeat(*_run_table(lengths, m, n)))
 
 
-def _decode_level(values: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (m, n) of the consecutive segments that tile values, the inverse of
-    # _level_codeword; raises on a non-codeword.  A segment is a codeword iff
-    # at most 2 of its adjacent bit pairs differ: with the wrap-around pair
-    # that count is even, and it is at most 2 iff the +1s form one cyclic
-    # block.  Its internal +1 -> -1 edge (fall) and -1 -> +1 edge (rise), each
-    # the segment end when absent, give m = fall - rise, plus l when the
-    # segment starts on a +1.  The block start, which fixes n, is rise, or the
-    # segment start (the end, mod l) when there is none; segments with no
-    # internal edge are degenerate and keep n = 0.  Live segments only.
-    live = np.flatnonzero(lengths)
+def _decode_level(bits: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (m, n) of the consecutive segments that tile a level, given as packed
+    # bytes; the inverse of _level_codeword, raising on a non-codeword.  A
+    # segment is a codeword iff at most 2 of its adjacent bit pairs differ:
+    # with the wrap-around pair that count is even, and it is at most 2 iff
+    # the +1s form one cyclic block.  Bit i of the bytes XORed with their
+    # one-bit shift is set where bit i differs from bit i - 1; only that mask
+    # is unpacked, with one slot past the end.  With every segment bound set
+    # in it too, the marks after a segment's start are its internal changes
+    # e1 < e2, then its end, which stands in for a missing one.  The runs
+    # between the marks alternate in sign, so the segment's first bit, read
+    # off the bytes, fixes them: if it is +1 the middle run [e1, e2) is -1
+    # and the block starts at e2, otherwise the middle run is the block.
+    # Segments with no internal change are degenerate and keep n = 0.  Live
+    # segments only.
+    live = lengths.nonzero()[0]
     l = lengths[live]
-    ends = np.cumsum(l)
-    starts = ends - l
-    differs = values[1:] != values[:-1]
-    differs[ends[:-1] - 1] = False  # pairs that straddle a segment boundary
-    edges = np.flatnonzero(differs) + 1
-    seg = np.searchsorted(ends, edges, side="right")
-    count = np.bincount(seg, minlength=live.size)
-    if (count > 2).any():
+    bounds = np.zeros(live.size + 1, dtype=np.int64)
+    l.cumsum(out=bounds[1:])
+    starts = bounds[:-1]
+    changes = bits >> 1
+    changes[1:] |= bits[:-1] << 7
+    changes ^= bits
+    # As bool, whose nonzero is ~10x faster than uint8's.
+    changes = np.unpackbits(changes, count=int(bounds[-1]) + 1).view(bool)
+    changes[bounds] = True
+    marks = changes.nonzero()[0]
+    at = np.searchsorted(marks, bounds)
+    gaps = at[1:] - at[:-1]  # internal changes + 1
+    if gaps.max() > 3:
         raise NotCodewordError("segment is not a cyclic shift of a contiguous +1 block")
-    edge_at = np.concatenate((ends, ends))  # falls, then rises
-    edge_at[seg + live.size * (values[edges] == 1)] = edges
-    fall, rise = edge_at.reshape(2, -1)
-    m_live = fall - rise + l * (values[starts] == 1)
-    n_live = (starts - rise - l // 2) % l
-    n_live[count == 0] = 0
+    first = at[:-1] + 1
+    e1 = marks[first]
+    e2 = marks[np.minimum(first + 1, at[1:])]
+    starts_plus = (bits[starts >> 3] << (starts & 7)) & 0x80
+    middle = e2 - e1
+    m_live = np.where(starts_plus, l - middle, middle)
+    n_live = (starts - np.where(starts_plus, e2, e1) - (l >> 1)) % l
+    n_live[gaps == 1] = 0
     m, n = np.zeros_like(lengths), np.zeros_like(lengths)
     m[live], n[live] = m_live, n_live
     return m, n
@@ -261,9 +275,12 @@ def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState
     np.mod(np.ceil(l * frac - 0.5).astype(np.int64), np.maximum(l, 1), out=n[1:])
     n[(m == 0) | (m == lengths)] = 0  # degenerate or absent (m <= l)
     live = np.flatnonzero(lengths)  # absent nodes would emit empty runs
-    signs, runs = _run_table(lengths[live], m[live], n[live])  # level d's: [cuts[d - 1], cuts[d])
+    bits, runs = _run_table(lengths[live], m[live], n[live])  # level d's: [cuts[d - 1], cuts[d])
     cuts = 3 * np.searchsorted(live, [1 << d for d in range(tree.depth + 1)])
-    strings = [BitString._trusted(np.repeat(signs[a:b], runs[a:b])) for a, b in zip(cuts, cuts[1:])]
+    strings = [
+        BitString._trusted(np.packbits(np.repeat(bits[a:b], runs[a:b])), L)
+        for a, b in zip(cuts, cuts[1:])
+    ]
     return strings, NestedState(tree.depth, L, m, n, lengths)
 
 
@@ -278,7 +295,7 @@ def decode_nested(strings: Sequence[BitString]) -> NestedState:
     n = np.zeros(1 << len(strings), dtype=np.int64)
 
     def level_m(d: int, lengths: np.ndarray):
-        m, n[1 << (d - 1) : 1 << d] = _decode_level(strings[d - 1].values, lengths)
+        m, n[1 << (d - 1) : 1 << d] = _decode_level(strings[d - 1]._bits, lengths)
         return m
 
     m, lengths = _walk_levels(len(strings), L, level_m)

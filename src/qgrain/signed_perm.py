@@ -19,6 +19,10 @@ import numpy as np
 from .bitstring import BitString, concat, cyc, equivalent_mod_xi, iota, negate
 
 
+# Entries per slice that SignedPermutation.__eq__ compares at a time.
+_EQ_CHUNK = 1 << 16
+
+
 class SignedPermutation:
     """A bijection on 0..L-1 together with a per-index sign.
 
@@ -70,10 +74,16 @@ class SignedPermutation:
         return self._map.size
 
     def __eq__(self, other) -> bool:
+        # Compared a chunk at a time: np.array_equal of whole arrays would
+        # allocate an L-byte mask beside the operators.
         if not isinstance(other, SignedPermutation):
             return NotImplemented
-        return np.array_equal(self._map, other._map) and np.array_equal(
-            self._signs, other._signs
+        if len(self) != len(other):
+            return False
+        return all(
+            np.array_equal(a[lo : lo + _EQ_CHUNK], b[lo : lo + _EQ_CHUNK])
+            for a, b in ((self._signs, other._signs), (self._map, other._map))
+            for lo in range(0, len(self), _EQ_CHUNK)
         )
 
     def __hash__(self) -> int:
@@ -94,7 +104,9 @@ def apply(a: SignedPermutation, s: BitString) -> BitString:
     """Operator action, equal to the dense matrix-vector product."""
     if len(a) != len(s):
         raise ValueError(f"operator length {len(a)} != string length {len(s)}")
-    return BitString._trusted(a.signs * s.values[a.index_map])
+    plus = s._plus()[a.index_map]
+    plus ^= a.signs < 0  # a -1 sign turns +1 into -1 and back
+    return BitString._trusted(np.packbits(plus), len(s))
 
 
 def compose(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:
@@ -102,7 +114,9 @@ def compose(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:
     if len(a) != len(b):
         raise ValueError(f"operator lengths differ: {len(a)} != {len(b)}")
     p = a.index_map
-    return SignedPermutation._trusted(b.index_map[p], a.signs * b.signs[p])
+    signs = b.signs[p]
+    signs *= a.signs
+    return SignedPermutation._trusted(b.index_map[p], signs)
 
 
 def _require_divisible(L: int, d: int) -> None:

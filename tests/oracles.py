@@ -3,7 +3,9 @@
 Each oracle deliberately avoids the code path it validates: the angle oracle
 enumerates every angle that is a rational multiple of pi (denominator-bounded)
 and tests cosine membership at high precision; the dense oracle multiplies
-full matrices; the column oracle lexsorts the raw sign columns.
+full matrices; the column oracle lexsorts the raw sign columns; the string
+producers build one int8 +1/-1 entry per bit, where the library packs eight
+bits to a byte.
 """
 
 from __future__ import annotations
@@ -84,3 +86,33 @@ def equivalent_mod_xi(family1, family2) -> bool:
         return mat[np.lexsort(mat.T[::-1])]
 
     return np.array_equal(sorted_columns(family1), sorted_columns(family2))
+
+
+# String producers on int8 arrays of +1/-1 entries, one byte per bit.
+
+
+def iota(L: int, m: int) -> np.ndarray:
+    v = np.full(L, -1, dtype=np.int8)
+    v[:m] = 1
+    return v
+
+
+def cyc(values: np.ndarray, k: int) -> np.ndarray:
+    return np.roll(values, -(k % values.size))
+
+
+def negate(values: np.ndarray) -> np.ndarray:
+    return -values
+
+
+def concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.concatenate([a, b])
+
+
+def apply_permutation(values: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    return values.take(perm)
+
+
+def apply(op, values: np.ndarray) -> np.ndarray:
+    """Signed-permutation action: out[i] = signs[i] * values[map[i]]."""
+    return op.signs * values[op.index_map]

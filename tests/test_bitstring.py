@@ -1,10 +1,11 @@
 from fractions import Fraction
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qgrain.bitstring import (
     BitString,
@@ -26,6 +27,7 @@ from qgrain.bitstring import (
 )
 from qgrain.nested import encode_nested, random_angle_tree
 from qgrain.qubit import DiscretisedQubit
+from qgrain.signed_perm import SignedPermutation, apply
 
 import oracles
 
@@ -198,8 +200,9 @@ def test_equivalent_mod_xi_matches_the_lexsort_oracle(N, distinct):
 
 
 def test_equivalent_mod_xi_megabit_memory():
-    # One packed uint8 key per column: two L-byte key arrays and one L-byte
-    # bool, where lexsort's int64 order alone was 8 bytes per column.
+    # One packed uint8 key per column: two L-byte key arrays and one string's
+    # L-byte unpacked +1 mask, where lexsort's int64 order alone was 8 bytes
+    # per column.
     L = 1 << 20
     equator = iota(L, L // 2)
     pair = ([cyc(equator, 3 * L // 4)], [equator])
@@ -278,6 +281,78 @@ def test_text_serialisation_round_trip():
         from_text("+!-")
     with pytest.raises(ValueError):
         from_text("")
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.array([257, -1, 255]), [257, 1], np.array([1.5, -1.0]), [-1, 2**64 + 1]],
+    ids=["int64-array", "list", "float", "beyond-uint64"],
+)
+def test_bitstring_checks_entries_before_narrowing(values):
+    # Each of these once narrowed into a valid string or overflowed.
+    with pytest.raises(ValueError, match="entries must be"):
+        BitString(values)
+
+
+def _signs(size):
+    return st.lists(st.sampled_from([1, -1]), min_size=size, max_size=size).map(
+        lambda v: np.array(v, dtype=np.int8)
+    )
+
+
+def _assert_packed_canonically(s):
+    # ceil(L/8) bytes with every padding bit of the last byte zero.
+    assert s._bits.dtype == np.uint8 and s._bits.size == -(-len(s) // 8)
+    assert not np.unpackbits(s._bits)[len(s) :].any()
+
+
+@given(st.integers(1, 70), st.integers(1, 70), st.integers(-200, 200), st.data())
+@settings(max_examples=300)
+def test_packed_producers_match_the_int8_oracles(L, L2, k, data):
+    # Lengths 1..70 cross byte boundaries and leave every tail of 0..7 bits.
+    v, w, signs = data.draw(_signs(L)), data.draw(_signs(L2)), data.draw(_signs(L))
+    m = data.draw(st.integers(0, L))
+    perm = np.array(data.draw(st.permutations(range(L))), dtype=np.int64)
+    s, t = BitString(v), BitString(w)
+    op = SignedPermutation(perm, signs)
+    built = [
+        (iota(L, m), oracles.iota(L, m)),
+        (cyc(s, k), oracles.cyc(v, k)),
+        (negate(s), oracles.negate(v)),
+        (concat(s, t), oracles.concat(v, w)),
+        (apply_permutation(s, perm), oracles.apply_permutation(v, perm)),
+        (apply(op, s), oracles.apply(op, v)),
+        (from_text(to_text(s)), v),
+        (s, v),
+    ]
+    for got, want in built:
+        values = got.values
+        assert values.dtype == np.int8 and not values.flags.writeable
+        assert np.array_equal(values, want)
+        assert len(got) == want.size and got.plus_count == np.count_nonzero(want == 1)
+        assert BitString(values) == got and hash(BitString(values)) == hash(got)
+        _assert_packed_canonically(got)
+    for (a, _), (b, _) in itertools.product(built, repeat=2):
+        same = len(a) == len(b) and np.array_equal(a.values, b.values)
+        assert (a == b) == same
+        assert not same or hash(a) == hash(b)
+    # One string reached by different producers.
+    block = oracles.cyc(oracles.iota(L, m), k)
+    shift = (np.arange(L) + k) % L
+    split = data.draw(st.integers(1, max(L - 1, 1)))
+    routes = [
+        cyc(iota(L, m), k),
+        BitString(block),
+        from_text(to_text(BitString(block))),
+        negate(negate(cyc(iota(L, m), k))),
+        apply_permutation(iota(L, m), shift),
+        apply(SignedPermutation(shift, np.ones(L, dtype=np.int8)), iota(L, m)),
+    ]
+    if L > 1:
+        routes.append(concat(BitString(block[:split]), BitString(block[split:])))
+    for route in routes:
+        assert route == routes[0] and hash(route) == hash(routes[0])
+        _assert_packed_canonically(route)
 
 
 def test_bitstring_validation_and_immutability():

@@ -311,7 +311,8 @@ def level_arrays(segs):
 
 
 def assert_decode_matches_single_segment_codec(values, lengths):
-    # Oracle: bitstring.decode on each segment on its own.
+    # Oracle: bitstring.decode on each segment of the +1/-1 values on its own;
+    # _decode_level reads the same level packed eight bits to a byte.
     expected_m, expected_n = [], []
     failed = False
     for start, length in zip(np.cumsum(lengths) - lengths, lengths):
@@ -327,11 +328,12 @@ def assert_decode_matches_single_segment_codec(values, lengths):
             break
         expected_m.append(q.m)
         expected_n.append(q.n)
+    packed = np.packbits(values == 1)
     if failed:
         with pytest.raises(NotCodewordError):
-            _decode_level(values, lengths)
+            _decode_level(packed, lengths)
         return
-    m, n = _decode_level(values, lengths)
+    m, n = _decode_level(packed, lengths)
     assert m.tolist() == expected_m
     assert n.tolist() == expected_n
 
@@ -340,11 +342,11 @@ def assert_decode_matches_single_segment_codec(values, lengths):
 @settings(max_examples=200)
 def test_level_codeword_matches_single_segment_codec(segs):
     lengths, m, n = level_arrays(segs)
-    expected = [cyc(iota(l, mm), l // 2 + nn).values for l, mm, nn in segs if l > 0]
+    expected = np.concatenate([cyc(iota(l, mm), l // 2 + nn).values for l, mm, nn in segs if l > 0])
     got = _level_codeword(lengths, m, n)
-    assert got.dtype == np.int8
-    assert np.array_equal(got, np.concatenate(expected))
-    assert_decode_matches_single_segment_codec(got, lengths)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, np.packbits(expected == 1))
+    assert_decode_matches_single_segment_codec(expected, lengths)
 
 
 @given(st.integers(1, 8), st.integers(1, 32), st.integers(0, 2**32 - 1))
@@ -360,7 +362,8 @@ def test_encode_nested_strings_are_level_codewords_of_heap_slices(depth, half_L,
     strings, state = encode_nested(tree, L)
     for d, string in enumerate(strings, start=1):
         sl = state.level_slice(d)
-        assert np.array_equal(string.values, _level_codeword(state.lengths[sl], state.m[sl], state.n[sl]))
+        codeword = _level_codeword(state.lengths[sl], state.m[sl], state.n[sl])
+        assert np.array_equal(np.packbits(string.values == 1), codeword)
     for k in range(1, 1 << depth):
         l, m = int(state.lengths[k]), int(state.m[k])
         if 0 < m < l:  # scalar oracle for the phase: qubit.quantise's n rule
@@ -381,7 +384,7 @@ def test_decode_level_matches_single_segment_codec(segs, data):
             dtype=np.int8,
         )
     else:
-        values = _level_codeword(lengths, m, n).copy()
+        values = np.unpackbits(_level_codeword(lengths, m, n), count=total).astype(np.int8) * 2 - 1
         flips = data.draw(st.lists(st.integers(0, total - 1), max_size=3))
         values[flips] *= -1
     assert_decode_matches_single_segment_codec(values, lengths)
@@ -708,13 +711,15 @@ def test_saturation_timings_cover_every_phase():
 
 @pytest.mark.parametrize("N", [4, 10, 14])
 def test_saturation_memory_is_flat_in_samples(N):
+    # Flat apart from the one-row table of 8-byte fidelities, which the rows
+    # need whole: 4 KiB at 512 samples, a sixth of the N = 4 peak.
     saturation_experiment(4096, N, N, 1, 0)  # first-call allocations out of the way
     peaks = []
     for samples in (64, 512):
         tracemalloc.start()
         try:
             saturation_experiment(4096, N, N, samples, 0)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peaks.append(tracemalloc.get_traced_memory()[1] - 8 * samples)
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0]
@@ -733,3 +738,17 @@ def test_saturation_memory_near_the_bound():
     finally:
         tracemalloc.stop()
     assert peak < 2.75 * 2**20
+
+
+def test_saturation_memory_on_the_wide_shape():
+    # saturate-wide's shape.  Strings hold eight bits to a byte, so the prefix
+    # check's two families (3 + 4 strings of 2^20 bits) hold 0.9 MiB, and the
+    # largest temporary is one level's byte-per-bit runs or change mask.
+    saturation_experiment(1 << 20, 1, 4, 1, 0)  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        saturation_experiment(1 << 20, 1, 4, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20, f"the (2^20, 1..4) sweep peaked at {peak / 2**20:.1f} MiB"
