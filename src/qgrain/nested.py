@@ -199,7 +199,7 @@ def _decode_level(bits: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np
     # and the block starts at e2, otherwise the middle run is the block.
     # Segments with no internal change are degenerate and keep n = 0.  Live
     # segments only.
-    live = lengths.nonzero()[0]
+    live = (lengths > 0).nonzero()[0]
     l = lengths[live]
     bounds = np.zeros(live.size + 1, dtype=np.int64)
     l.cumsum(out=bounds[1:])
@@ -207,7 +207,8 @@ def _decode_level(bits: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np
     changes = bits >> 1
     changes[1:] |= bits[:-1] << 7
     changes ^= bits
-    # As bool, whose nonzero is ~10x faster than uint8's.
+    # As bool, like live's mask above: numpy's nonzero is several times
+    # faster on bool than on integer arrays.
     changes = np.unpackbits(changes, count=int(bounds[-1]) + 1).view(bool)
     changes[bounds] = True
     marks = changes.nonzero()[0]
@@ -274,7 +275,7 @@ def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState
     n = np.zeros_like(lengths)
     np.mod(np.ceil(l * frac - 0.5).astype(np.int64), np.maximum(l, 1), out=n[1:])
     n[(m == 0) | (m == lengths)] = 0  # degenerate or absent (m <= l)
-    live = np.flatnonzero(lengths)  # absent nodes would emit empty runs
+    live = (lengths > 0).nonzero()[0]  # absent nodes would emit empty runs
     bits, runs = _run_table(lengths[live], m[live], n[live])  # level d's: [cuts[d - 1], cuts[d])
     cuts = 3 * np.searchsorted(live, [1 << d for d in range(tree.depth + 1)])
     strings = [

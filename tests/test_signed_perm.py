@@ -147,6 +147,20 @@ def test_built_operators_are_read_only_and_canonical(L):
         assert BitString(out.values) == out
 
 
+def test_equality_compares_every_chunk():
+    # Lengths past two chunks, differing only in the last entries.
+    L = 2 * signed_perm._EQ_CHUNK + 3
+    one = np.ones(L, dtype=np.int8)
+    flipped = one.copy()
+    flipped[-1] = -1
+    swapped = np.arange(L)
+    swapped[[-2, -1]] = swapped[[-1, -2]]
+    assert identity_op(L) == SignedPermutation(np.arange(L), one)
+    assert identity_op(L) != SignedPermutation(np.arange(L), flipped)
+    assert identity_op(L) != SignedPermutation(swapped, one)
+    assert identity_op(L) != identity_op(L - 1)
+
+
 def test_map_dtype_boundary():
     # Indices run to L - 1, so int32 holds every map up to L = 2^31.
     assert signed_perm._map_dtype(1) == np.int32
