@@ -57,6 +57,11 @@ class BitString:
         s._length = length
         return s
 
+    @classmethod
+    def _from_plus(cls, plus: np.ndarray) -> "BitString":
+        # Packs a 1-D 0/1 (or bool) +1 mask that the caller built: no check.
+        return cls._trusted(np.packbits(plus), plus.size)
+
     def _plus(self) -> np.ndarray:
         # Fresh uint8 array, 1 where the string holds +1 and 0 where -1.
         return np.unpackbits(self._bits, count=self._length)
@@ -107,7 +112,7 @@ def from_text(text: str) -> BitString:
     plus = raw == 43  # '+'; '-' is 45
     if not text or not np.all(plus | (raw == 45)):
         raise ValueError("bit-string text must be non-empty over '+' and '-'")
-    return BitString._trusted(np.packbits(plus), plus.size)
+    return BitString._from_plus(plus)
 
 
 def to_wire(s: BitString) -> str:
@@ -131,7 +136,7 @@ def iota(L: int, m: int) -> BitString:
 
 def cyc(s: BitString, k: int) -> BitString:
     """k-fold cyclic shift: out[i] = s[(i + k) mod L]."""
-    return BitString._trusted(np.packbits(np.roll(s._plus(), -(k % len(s)))), len(s))
+    return BitString._from_plus(np.roll(s._plus(), -(k % len(s))))
 
 
 def negate(s: BitString) -> BitString:
@@ -141,7 +146,7 @@ def negate(s: BitString) -> BitString:
 
 
 def concat(a: BitString, b: BitString) -> BitString:
-    return BitString._trusted(np.packbits(np.concatenate((a._plus(), b._plus()))), len(a) + len(b))
+    return BitString._from_plus(np.concatenate((a._plus(), b._plus())))
 
 
 def encode(q: DiscretisedQubit) -> BitString:
@@ -206,7 +211,7 @@ def apply_permutation(s: BitString, perm: np.ndarray) -> BitString:
     perm = np.asarray(perm)
     if not np.array_equal(np.sort(perm), np.arange(len(s))):
         raise ValueError("perm must be a bijection on 0..L-1")
-    return BitString._trusted(np.packbits(s._plus().take(perm)), len(s))
+    return BitString._from_plus(s._plus().take(perm))
 
 
 _KEY_DTYPES = (np.uint8, np.uint16, np.uint32, np.uint64)

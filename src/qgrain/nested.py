@@ -279,7 +279,7 @@ def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState
     bits, runs = _run_table(lengths[live], m[live], n[live])  # level d's: [cuts[d - 1], cuts[d])
     cuts = 3 * np.searchsorted(live, [1 << d for d in range(tree.depth + 1)])
     strings = [
-        BitString._trusted(np.packbits(np.repeat(bits[a:b], runs[a:b])), L)
+        BitString._from_plus(np.repeat(bits[a:b], runs[a:b]))
         for a, b in zip(cuts, cuts[1:])
     ]
     return strings, NestedState(tree.depth, L, m, n, lengths)
@@ -452,7 +452,8 @@ def saturation_experiment(
     of the next deeper one, so only the deepest family of a sample is decoded
     (by ``decode_nested``) and expanded: the rows read their levels off that
     one pass.  Samples run one at a time, so memory stays bounded by one
-    deepest tree whatever the sample count.  The exact state's branch factors
+    deepest tree plus the fidelity table (8 bytes per row and sample, which
+    the percentiles need whole).  The exact state's branch factors
     are computed only where the quantised factor is nonzero and set to 0
     elsewhere.  Where the quantised amplitude is exactly 0 each term of the
     overlap is +-0 with or without that, and adding +-0 leaves the sum

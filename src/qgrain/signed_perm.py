@@ -106,7 +106,7 @@ def apply(a: SignedPermutation, s: BitString) -> BitString:
         raise ValueError(f"operator length {len(a)} != string length {len(s)}")
     plus = s._plus()[a.index_map]
     plus ^= a.signs < 0  # a -1 sign turns +1 into -1 and back
-    return BitString._trusted(np.packbits(plus), len(s))
+    return BitString._from_plus(plus)
 
 
 def compose(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:
