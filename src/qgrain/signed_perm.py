@@ -10,6 +10,15 @@ convention uniquely and ``to_dense`` reproduces them exactly.  The generators
 are built from half- and quarter-size blocks, hence the divisibility
 requirements: 2|L for j, sigma_x, sigma_z and 4|L for i, k, i_little,
 sigma_y.
+
+Each generator has one definition, an index rule ``rule(rows, L) -> (map,
+signs)`` that gives its entries at any array of row indices.  ``make_*``
+evaluates the rule at every row.  The identity checks (``verify_quaternion``,
+``verify_spin_identities``, ``self_similar_split``) evaluate it one bounded
+slice of rows at a time, as ``apply`` reads an operator's arrays: at most 64
+slices, each a multiple of 8 rows and at least 2^12 rows.  So no check holds
+more than a slice of any operator, and an L too large for memory fails on
+the first slice.
 """
 
 from __future__ import annotations
@@ -104,9 +113,44 @@ def apply(a: SignedPermutation, s: BitString) -> BitString:
     """Operator action, equal to the dense matrix-vector product."""
     if len(a) != len(s):
         raise ValueError(f"operator length {len(a)} != string length {len(s)}")
-    plus = s._plus()[a.index_map]
-    plus ^= a.signs < 0  # a -1 sign turns +1 into -1 and back
-    return BitString._from_plus(plus)
+    return _gathered(s, lambda lo, hi: (a.index_map[lo:hi], a.signs[lo:hi]))
+
+
+# Row slices: at most _MAX_SLICES of them, each at least _MIN_SLICE rows and a
+# multiple of 8, so a slice's bits fill whole bytes of a packed string.
+_MAX_SLICES = 64
+_MIN_SLICE = 1 << 12
+
+
+def _row_slices(n: int):
+    """(lo, hi) bounds of the slices that cover rows 0..n-1 in order."""
+    step = max(_MIN_SLICE, -(-n // (8 * _MAX_SLICES)) * 8)
+    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
+def _gathered(s: BitString, entries) -> BitString:
+    # out[r] = signs[r] * s[map[r]], a slice at a time: entries(lo, hi) gives
+    # the slice's map and signs, and its bits fill output bytes [lo/8, hi/8).
+    # take() casts only the slice's indices to intp.
+    L = len(s)
+    plus = s._plus()
+    out = np.empty(-(-L // 8), dtype=np.uint8)
+    for lo, hi in _row_slices(L):
+        index_map, signs = entries(lo, hi)
+        bits = plus.take(index_map)
+        bits ^= signs < 0  # a -1 sign turns +1 into -1 and back
+        out[lo // 8 : -(-hi // 8)] = np.packbits(bits)
+    return BitString._trusted(out, L)
+
+
+def _rows(lo: int, hi: int, L: int) -> np.ndarray:
+    return np.arange(lo, hi, dtype=_map_dtype(L))
+
+
+def _applied(rule, s: BitString) -> BitString:
+    """apply(op, s) for the operator of length len(s) that rule defines."""
+    L = len(s)
+    return _gathered(s, lambda lo, hi: rule(_rows(lo, hi, L), L))
 
 
 def compose(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:
@@ -139,105 +183,149 @@ def _map_dtype(L: int) -> np.dtype:
     return np.dtype(np.int32 if L <= _INT32_MAX_L else np.int64)
 
 
-def _identity(L: int) -> tuple[np.ndarray, np.ndarray]:
-    # The int8 signs come first: from 2^60 entries the int64 map exceeds
-    # numpy's size limit (a ValueError), while L < 2^63 bytes of signs fail
-    # to allocate as the MemoryError every other huge L gives.
+def _operator(rule, L: int, d: int = 1) -> SignedPermutation:
+    # The operator rule defines, evaluated at every row.  The signs' L bytes
+    # are claimed first: from L = 2^60 an int64 map passes numpy's size limit
+    # (a ValueError), while L < 2^63 bytes fail to allocate as the MemoryError
+    # every other huge L gives.
+    if d > 1:
+        _require_divisible(L, d)
     _require_int64(L)
-    signs = np.ones(L, dtype=np.int8)
-    return np.arange(L, dtype=_map_dtype(L)), signs
+    np.empty(L, dtype=np.int8)
+    return SignedPermutation._trusted(*rule(np.arange(L, dtype=_map_dtype(L)), L))
+
+
+# Index rules: rule(rows, L) -> (map, signs) at an integer array of rows in
+# the canonical map dtype for L.  A rule works in place: the rows array
+# becomes the map, so the caller hands over rows it no longer needs.
+
+
+def _identity_at(rows: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
+    return rows, np.ones(rows.size, dtype=np.int8)
+
+
+def _negation_at(rows: np.ndarray, L: int) -> tuple[np.ndarray, np.ndarray]:
+    return rows, np.full(rows.size, -1, dtype=np.int8)
+
+
+def _blocks_at(rows, L: int, block, columns, signs) -> tuple[np.ndarray, np.ndarray]:
+    # The 2 x 2 block form at rows: block row r (rows below L/2, then the
+    # rest) holds signs[r] * block(L/2) in block column columns[r].  Every step
+    # runs in place in the rows' dtype, which holds every index below L, and
+    # without where= masks, which are slow on an operator's scattered images.
+    h = L // 2
+    upper = rows >= h
+    offset = np.multiply(upper, h, dtype=rows.dtype)
+    rows -= offset
+    index_map, out_signs = block(rows, h)
+    if columns == (0, 1):  # block-diagonal
+        index_map += offset
+    else:  # off-diagonal
+        index_map -= offset
+        index_map += h
+    if signs != (1, 1):
+        factor = np.multiply(upper, signs[1] - signs[0], dtype=np.int8)
+        factor += signs[0]
+        out_signs *= factor
+    return index_map, out_signs
+
+
+def _block_rule(block, columns, signs):
+    return lambda rows, L: _blocks_at(rows, L, block, columns, signs)
+
+
+_j_at = _block_rule(_identity_at, (1, 0), (1, -1))  # [[0, 1], [-1, 0]] on half blocks
+_i_at = _block_rule(_j_at, (0, 1), (1, -1))
+_k_at = _block_rule(_j_at, (1, 0), (1, 1))
+_ilittle_at = _block_rule(_j_at, (0, 1), (1, 1))
+_pauli_x_at = _block_rule(_identity_at, (1, 0), (1, 1))
+_pauli_y_at = _block_rule(_j_at, (1, 0), (-1, 1))
+_pauli_z_at = _block_rule(_identity_at, (0, 1), (1, -1))
 
 
 def identity_op(L: int) -> SignedPermutation:
-    return SignedPermutation._trusted(*_identity(L))
+    return _operator(_identity_at, L)
 
 
 def negation_op(L: int) -> SignedPermutation:
     """-1_L: identity map, all signs flipped."""
-    index_map, signs = _identity(L)
-    return SignedPermutation._trusted(index_map, np.negative(signs, out=signs))
-
-
-def _blocks(L: int, d: int, block, columns, signs) -> tuple[np.ndarray, np.ndarray]:
-    # (map, signs) of the 2 x 2 block form needing d | L: block row r holds
-    # signs[r] * block(L/2) in block column columns[r].  block(h) runs first,
-    # so a huge L fails on the innermost int8 allocation, as in _identity.
-    # The offset add runs in the output dtype: an int32 half-block widens into
-    # an int64 map once L > 2^31, where c * h no longer fits in int32.
-    _require_divisible(L, d)
-    h = L // 2
-    block_map, block_signs = block(h)
-    out_signs = np.empty(L, dtype=np.int8)
-    out_map = np.empty(L, dtype=_map_dtype(L))
-    for r, (c, s) in enumerate(zip(columns, signs)):
-        rows = slice(r * h, (r + 1) * h)
-        np.add(block_map, c * h, out=out_map[rows], dtype=out_map.dtype)
-        np.multiply(block_signs, s, out=out_signs[rows])
-    return out_map, out_signs
-
-
-def _j_parts(L: int) -> tuple[np.ndarray, np.ndarray]:
-    # [[0, 1], [-1, 0]] on half-size blocks
-    return _blocks(L, 2, _identity, (1, 0), (1, -1))
+    return _operator(_negation_at, L)
 
 
 def make_j(L: int) -> SignedPermutation:
     """j: swap halves, negating the second; j^2 = -1."""
-    return SignedPermutation._trusted(*_j_parts(L))
+    return _operator(_j_at, L, 2)
 
 
 def make_i(L: int) -> SignedPermutation:
     """i: block-diagonal (j_half, -j_half)."""
-    return SignedPermutation._trusted(*_blocks(L, 4, _j_parts, (0, 1), (1, -1)))
+    return _operator(_i_at, L, 4)
 
 
 def make_k(L: int) -> SignedPermutation:
     """k: off-diagonal (j_half | j_half); k = i * j."""
-    return SignedPermutation._trusted(*_blocks(L, 4, _j_parts, (1, 0), (1, 1)))
+    return _operator(_k_at, L, 4)
 
 
 def make_ilittle(L: int) -> SignedPermutation:
     """Scalar complex unit: block-diagonal (j_half, j_half); commutes with sigma_z."""
-    return SignedPermutation._trusted(*_blocks(L, 4, _j_parts, (0, 1), (1, 1)))
+    return _operator(_ilittle_at, L, 4)
 
 
 def make_pauli_x(L: int) -> SignedPermutation:
     """sigma_x: swap halves."""
-    return SignedPermutation._trusted(*_blocks(L, 2, _identity, (1, 0), (1, 1)))
+    return _operator(_pauli_x_at, L, 2)
 
 
 def make_pauli_y(L: int) -> SignedPermutation:
     """sigma_y: off-diagonal (-j_half | j_half)."""
-    return SignedPermutation._trusted(*_blocks(L, 4, _j_parts, (1, 0), (-1, 1)))
+    return _operator(_pauli_y_at, L, 4)
 
 
 def make_pauli_z(L: int) -> SignedPermutation:
     """sigma_z: diagonal (+1 on the first half, -1 on the second)."""
-    return SignedPermutation._trusted(*_blocks(L, 2, _identity, (0, 1), (1, -1)))
+    return _operator(_pauli_z_at, L, 2)
 
 
 def verify_quaternion(L: int) -> bool:
-    """i^2 = j^2 = k^2 = -1 and i*j = k, as exact operator equalities."""
+    """i^2 = j^2 = k^2 = -1 and i*j = k, as exact operator equalities.
+
+    Up to 2^12 rows, one slice is the whole operator, so the operators are
+    built and composed whole.  Above, the check runs a slice of rows at a
+    time: row r of a*b has map b.map[a.map[r]] and sign
+    a.signs[r] * b.signs[a.map[r]], so a slice needs i, j and k only at its
+    rows and at their images.
+    """
     _require_divisible(L, 4)
-    # At most three L-entry operators are alive at once: each is dropped
-    # after its last check, and -1 is built afresh for each square: one kept
-    # alive would be a fourth beside j, i*j and j*j.
-    i = make_i(L)
-    if compose(i, i) != negation_op(L):
-        return False
-    j = make_j(L)
-    ij = compose(i, j)
-    del i
-    jj = compose(j, j)
-    del j
-    if jj != negation_op(L):
-        return False
-    del jj
-    k = make_k(L)
-    if ij != k:
-        return False
-    del ij
-    return compose(k, k) == negation_op(L)
+    if L <= _MIN_SLICE:
+        i, j, k, minus_one = make_i(L), make_j(L), make_k(L), negation_op(L)
+        return (
+            compose(i, i) == minus_one
+            and compose(j, j) == minus_one
+            and compose(k, k) == minus_one
+            and compose(i, j) == k
+        )
+    for lo, hi in _row_slices(L):
+        rows = _rows(lo, hi, L)
+        i_map, i_signs = _i_at(rows.copy(), L)
+        j_map, j_signs = _j_at(i_map.copy(), L)  # j after i
+        k_map, k_signs = _k_at(rows.copy(), L)
+        if not (
+            np.array_equal(j_map, k_map)
+            and np.array_equal(i_signs * j_signs, k_signs)
+            and _squares_to_minus_one(_i_at, rows, i_map, i_signs, L)
+            and _squares_to_minus_one(_j_at, rows, *_j_at(rows.copy(), L), L)
+            and _squares_to_minus_one(_k_at, rows, k_map, k_signs, L)
+        ):
+            return False
+    return True
+
+
+def _squares_to_minus_one(rule, rows, index_map, signs, L: int) -> bool:
+    # a*a = -1 on these rows: a sends each image back to its row with the
+    # opposite sign.  index_map is handed over to the rule.
+    back_map, back_signs = rule(index_map, L)
+    return np.array_equal(back_map, rows) and not np.any(back_signs == signs)
 
 
 def verify_spin_identities(L: int) -> bool:
@@ -250,11 +338,9 @@ def verify_spin_identities(L: int) -> bool:
     """
     _require_divisible(L, 4)
     equator = iota(L, L // 2)
-    z_ok = cyc(iota(L, L), L // 2) == apply(make_pauli_z(L), equator)
-    x_ok = cyc(equator, L // 2) == apply(make_pauli_x(L), equator)
-    y_ok = equivalent_mod_xi(
-        [cyc(equator, 3 * L // 4)], [apply(make_pauli_y(L), equator)]
-    )
+    z_ok = cyc(iota(L, L), L // 2) == _applied(_pauli_z_at, equator)
+    x_ok = cyc(equator, L // 2) == _applied(_pauli_x_at, equator)
+    y_ok = equivalent_mod_xi([cyc(equator, 3 * L // 4)], [_applied(_pauli_y_at, equator)])
     return z_ok and x_ok and y_ok
 
 
@@ -268,6 +354,6 @@ def self_similar_split(L: int) -> bool:
     _require_divisible(L, 8)
     h = L // 2
     lhs = cyc(iota(L, h), h)
-    inner = apply(make_pauli_z(h), iota(h, L // 4))
-    rhs = apply(make_pauli_x(L), concat(inner, negate(inner)))
+    inner = _applied(_pauli_z_at, iota(h, L // 4))
+    rhs = _applied(_pauli_x_at, concat(inner, negate(inner)))
     return lhs == rhs

@@ -5,7 +5,8 @@ enumerates every angle that is a rational multiple of pi (denominator-bounded)
 and tests cosine membership at high precision; the dense oracle multiplies
 full matrices; the column oracle lexsorts the raw sign columns; the string
 producers build one int8 +1/-1 entry per bit, where the library packs eight
-bits to a byte.
+bits to a byte; the generator builders assemble each operator whole from its
+half-size blocks, where the library evaluates one index rule per row.
 """
 
 from __future__ import annotations
@@ -116,3 +117,35 @@ def apply_permutation(values: np.ndarray, perm: np.ndarray) -> np.ndarray:
 def apply(op, values: np.ndarray) -> np.ndarray:
     """Signed-permutation action: out[i] = signs[i] * values[map[i]]."""
     return op.signs * values[op.index_map]
+
+
+# Generators as whole (map, signs) arrays in the 2 x 2 block forms.
+
+
+def identity_parts(L: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.arange(L), np.ones(L, dtype=np.int8)
+
+
+def block_parts(L: int, block, columns, signs) -> tuple[np.ndarray, np.ndarray]:
+    """Block row r holds signs[r] * block(L/2) in block column columns[r]."""
+    h = L // 2
+    block_map, block_signs = block(h)
+    out_map = np.concatenate([block_map + c * h for c in columns])
+    out_signs = np.concatenate([block_signs * s for s in signs]).astype(np.int8)
+    return out_map, out_signs
+
+
+def j_parts(L: int) -> tuple[np.ndarray, np.ndarray]:
+    # [[0, 1], [-1, 0]] on half-size blocks
+    return block_parts(L, identity_parts, (1, 0), (1, -1))
+
+
+GENERATOR_PARTS = {
+    "j": j_parts,
+    "i": lambda L: block_parts(L, j_parts, (0, 1), (1, -1)),
+    "k": lambda L: block_parts(L, j_parts, (1, 0), (1, 1)),
+    "ilittle": lambda L: block_parts(L, j_parts, (0, 1), (1, 1)),
+    "pauli_x": lambda L: block_parts(L, identity_parts, (1, 0), (1, 1)),
+    "pauli_y": lambda L: block_parts(L, j_parts, (1, 0), (-1, 1)),
+    "pauli_z": lambda L: block_parts(L, identity_parts, (0, 1), (1, -1)),
+}

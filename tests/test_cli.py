@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
@@ -389,6 +390,45 @@ def test_uncertainty_full_sample(capsys):
     code, out, _ = run_cli(capsys, "uncertainty", "--samples", "100000", "--seed", "1")
     assert code == 0
     assert out.strip() == "100000/100000 satisfied"
+
+
+def test_uncertainty_memory_is_bounded_in_samples():
+    # Drawn in slices of at most 4096 samples: no (samples x 3) table.
+    argv = ["uncertainty", "--samples", "100000"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)  # first-call allocations out of the way
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 2**20, f"uncertainty --samples 100000 peaked at {peak / 2**20:.2f} MiB"
+
+
+def _peak_rss_mb(*argv: str) -> float:
+    # ru_maxrss of one child, one BLAS thread as the benchmark runs it.
+    env = dict(
+        os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"
+    )
+    env.pop("QGRAIN_CONSTANTS", None)
+    proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.DEVNULL, env=env)
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0, argv
+    return usage.ru_maxrss / 1024  # KiB on Linux
+
+
+def test_whole_process_peak_rss_stays_near_the_import_floor():
+    # tracemalloc sees numpy's allocations but not page-level growth, so this
+    # reads the number the benchmark reports: each command's peak RSS over
+    # the imports it cannot avoid.
+    cli_floor = _peak_rss_mb("-c", "import qgrain.cli")
+    random_floor = _peak_rss_mb("-c", "import qgrain.cli, numpy.random")
+    verify = _peak_rss_mb("-m", "qgrain.cli", "pauli-verify", "--L", "1048576")
+    sample = _peak_rss_mb("-m", "qgrain.cli", "uncertainty", "--samples", "100000")
+    assert verify - cli_floor <= 6, (verify, cli_floor)
+    assert sample - random_floor <= 3, (sample, random_floor)
 
 
 def test_reduce(capsys):

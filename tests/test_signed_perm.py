@@ -25,7 +25,7 @@ from qgrain.signed_perm import (
     verify_spin_identities,
 )
 
-from oracles import dense_apply
+from oracles import GENERATOR_PARTS, dense_apply
 
 GENERATORS = {
     "j": (make_j, 2),
@@ -121,6 +121,43 @@ def test_compose_matches_dense_product():
         for a in ops:
             for b in ops:
                 assert apply(compose(a, b), s) == apply(a, apply(b, s))
+
+
+# Lengths up to three slices and a short one; the ones past 2^12 cross slice
+# bounds, and those not a multiple of 64 end in a slice shorter than the rest.
+RULE_LENGTHS = [2, 4, 8, 12, 64, 2**12, 2**12 + 4, 3 * 2**12 + 8, 2**16 + 4]
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+@pytest.mark.parametrize("L", RULE_LENGTHS)
+def test_index_rule_matches_the_block_form(name, L):
+    factory, divisor = GENERATORS[name]
+    if L % divisor:
+        pytest.skip(f"{name} needs {divisor} | L")
+    want_map, want_signs = GENERATOR_PARTS[name](L)
+    rule = getattr(signed_perm, f"_{name}_at")
+    rows = np.arange(L, dtype=signed_perm._map_dtype(L))
+    got_map, got_signs = rule(rows, L)
+    assert got_map.dtype == rows.dtype and got_signs.dtype == np.int8
+    assert np.array_equal(got_map, want_map) and np.array_equal(got_signs, want_signs)
+    op = factory(L)
+    assert np.array_equal(op.index_map, want_map) and np.array_equal(op.signs, want_signs)
+    for lo, hi in signed_perm._row_slices(L):  # a slice's rows give the same entries
+        part_map, part_signs = rule(np.arange(lo, hi, dtype=rows.dtype), L)
+        assert np.array_equal(part_map, want_map[lo:hi])
+        assert np.array_equal(part_signs, want_signs[lo:hi])
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 2**12, 2**12 + 1, 2**15 + 9, 2**20, 2**62])
+def test_row_slices_are_bounded(n):
+    slices = list(signed_perm._row_slices(n))
+    assert slices[0][0] == 0 and slices[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(slices, slices[1:]))
+    assert len(slices) <= 64
+    # All but the last slice: a multiple of 8 rows and at least 2^12 of them.
+    assert all((hi - lo) % 8 == 0 and hi - lo >= 2**12 for lo, hi in slices[:-1])
+    if n <= 2**12:
+        assert slices == [(0, n)]
 
 
 def assert_canonical(op):
@@ -282,23 +319,29 @@ def _quaternion_fakes(L):
     # Per identity, replacement generators under which it alone fails.
     ilittle = make_ilittle(L)  # commutes with j, so (ilittle j)^2 = +1
     return {
-        "i^2": {"make_i": identity_op(L), "make_k": make_j(L)},
-        "j^2": {"make_j": identity_op(L), "make_k": make_i(L)},
-        "k^2": {"make_i": ilittle, "make_k": compose(ilittle, make_j(L))},
-        "ij=k": {"make_k": compose(negation_op(L), make_k(L))},
+        "i^2": {"_i_at": identity_op(L), "_k_at": make_j(L)},
+        "j^2": {"_j_at": identity_op(L), "_k_at": make_i(L)},
+        "k^2": {"_i_at": ilittle, "_k_at": compose(ilittle, make_j(L))},
+        "ij=k": {"_k_at": compose(negation_op(L), make_k(L))},
     }
+
+
+def _reading(op):
+    # An index rule that reads a built operator's entries.
+    return lambda rows, L: (op.index_map[rows], op.signs[rows])
 
 
 @pytest.mark.parametrize("broken", ["i^2", "j^2", "k^2", "ij=k"])
 def test_verify_quaternion_checks_each_identity(monkeypatch, broken):
-    L = 8
-    ops = {"make_i": make_i(L), "make_j": make_j(L), "make_k": make_k(L)}
-    ops.update(_quaternion_fakes(L)[broken])
-    failing = [name for name, ok in _quaternion_identities(*ops.values()).items() if not ok]
-    assert failing == [broken]
-    for name, op in ops.items():
-        monkeypatch.setattr(signed_perm, name, lambda n, op=op: op)
-    assert not verify_quaternion(L)
+    for L in (8, 3 * 2**12 + 8):  # one slice, then four
+        ops = {"_i_at": make_i(L), "_j_at": make_j(L), "_k_at": make_k(L)}
+        ops.update(_quaternion_fakes(L)[broken])
+        failing = [name for name, ok in _quaternion_identities(*ops.values()).items() if not ok]
+        assert failing == [broken]
+        for name, op in ops.items():
+            monkeypatch.setattr(signed_perm, name, _reading(op))
+        assert not verify_quaternion(L)
+        monkeypatch.undo()
 
 
 def test_verify_quaternion_composes_four_full_products(monkeypatch):
@@ -315,6 +358,39 @@ def test_verify_quaternion_composes_four_full_products(monkeypatch):
     assert lengths == [L] * 4
 
 
+LAST_ROW_FAULTS = [
+    (verify_quaternion, "_i_at"),
+    (verify_quaternion, "_j_at"),
+    (verify_quaternion, "_k_at"),
+    (verify_spin_identities, "_pauli_x_at"),
+    (verify_spin_identities, "_pauli_y_at"),
+    (verify_spin_identities, "_pauli_z_at"),
+    (self_similar_split, "_pauli_x_at"),
+    (self_similar_split, "_pauli_z_at"),
+]
+
+
+@pytest.mark.parametrize(
+    "check, rule", LAST_ROW_FAULTS, ids=[f"{c.__name__}-{r}" for c, r in LAST_ROW_FAULTS]
+)
+def test_a_rule_wrong_in_its_last_row_fails_the_check(monkeypatch, check, rule):
+    # Three full slices and a last one of 8 rows: the fault sits in the last
+    # row of the last slice of every length the rule is evaluated at.
+    L = 3 * 2**12 + 8
+    assert len(list(signed_perm._row_slices(L))) == 4
+    assert check(L)
+    right = getattr(signed_perm, rule)
+
+    def wrong(rows, n):
+        last = rows == n - 1
+        index_map, signs = right(rows, n)
+        signs[last] *= -1
+        return index_map, signs
+
+    monkeypatch.setattr(signed_perm, rule, wrong)
+    assert not check(L)
+
+
 def _traced_peak_mib(check, L):
     check(L)  # first-call allocations out of the way
     tracemalloc.start()
@@ -327,16 +403,18 @@ def _traced_peak_mib(check, L):
 
 
 def test_verify_quaternion_megabit_memory():
-    # Three 5-byte-per-entry operators (int32 map, int8 signs): i, j and i*j
-    # while they are composed; equality tests compare in bounded chunks.
+    # i, j and k at one slice of 2^14 rows and at its images: no operator
+    # of 2^20 entries is built.
     peak = _traced_peak_mib(verify_quaternion, 1 << 20)
-    assert peak <= 16, f"verify_quaternion(2^20) peaked at {peak:.1f} MiB"
+    assert peak <= 1, f"verify_quaternion(2^20) peaked at {peak:.2f} MiB"
 
 
 @pytest.mark.parametrize("check", [verify_spin_identities, self_similar_split])
 def test_spin_checks_megabit_memory(check):
+    # Strings of 2^20 bits, unpacked a byte per bit one or two at a time, and
+    # one slice of each rule's entries.
     peak = _traced_peak_mib(check, 1 << 20)
-    assert peak <= 11, f"{check.__name__}(2^20) peaked at {peak:.1f} MiB"
+    assert peak <= 4, f"{check.__name__}(2^20) peaked at {peak:.2f} MiB"
 
 
 def test_verify_spin_identities():
