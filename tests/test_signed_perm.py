@@ -123,8 +123,8 @@ def test_compose_matches_dense_product():
                 assert apply(compose(a, b), s) == apply(a, apply(b, s))
 
 
-# Lengths up to three slices and a short one; the ones past 2^12 cross slice
-# bounds, and those not a multiple of 64 end in a slice shorter than the rest.
+# One slice up to 2^12 rows, then two, four and seventeen slices, the last of
+# them shorter than the rest.
 RULE_LENGTHS = [2, 4, 8, 12, 64, 2**12, 2**12 + 4, 3 * 2**12 + 8, 2**16 + 4]
 
 
