@@ -11,6 +11,12 @@ frequency of the string is the Born weight m/L; the cyclic offset carries the
 phase.  The global bit relabelling that would carry a physical global phase
 is fixed to the identity here, and handled separately by
 ``equivalent_mod_xi``.
+
+One codec serves a single string and a level of a nested state, whose string
+concatenates one codeword per live (l > 0) segment: ``encode`` and ``decode``
+are its one-segment callers.  Encoding expands three runs per segment, one
+byte per bit, then packs; decoding reads a level's sign changes off its
+packed bytes.  No other module reads or writes the packed bytes.
 """
 
 from __future__ import annotations
@@ -157,7 +163,9 @@ def encode(q: DiscretisedQubit) -> BitString:
     """
     if q.L % 2:
         raise ValueError(f"encoding requires even granularity, got L={q.L}")
-    return cyc(iota(q.L, q.m), q.L // 2 + q.n)
+    if q.L >= 1 << 63:
+        raise ValueError(f"string needs L in [1, 2^63) (int64 limit), got L={q.L}")
+    return _encode_levels(np.array([q.L]), np.array([q.m]), np.array([q.n]), [0, 1])[0]
 
 
 class Decoded(NamedTuple):
@@ -175,18 +183,97 @@ def decode(s: BitString) -> Decoded:
     cyclic block.
     """
     L = len(s)
-    m = s.plus_count
-    if m == 0 or m == L:
-        return Decoded(DiscretisedQubit(m, 0, L), True)
+    try:
+        m, n = _decode_level(s, np.array([L]))
+    except NotCodewordError:
+        why = f"{to_text(s)!r} is not a cyclic shift of a contiguous +1 block"
+        raise NotCodewordError(why) from None
+    m = int(m[0])
+    return Decoded(DiscretisedQubit(m, int(n[0]), L), m in (0, L))
+
+
+def _encode_levels(lengths: np.ndarray, m: np.ndarray, n: np.ndarray, cuts) -> list[BitString]:
+    # Strings of concatenated codewords cyc(iota(l, m), l//2 + n) of live
+    # (l > 0) segments: string i holds segments cuts[i] .. cuts[i + 1] - 1.
+    # Three runs per segment, bit 1 for +1, in one table for all strings.
+    # The +1 block starts at a = -(l//2 + n) mod l and wraps past the segment
+    # end iff a + m > l.  No wrap: -1 x a, +1 x m, -1 x (l - a - m); wrap:
+    # +1 x (a + m - l), -1 x (l - m), +1 x (l - a).  With 0 <= n < l every
+    # intermediate below lies in (-l, l], so int64 holds it for any l < 2^63.
+    a = (lengths - lengths // 2 - n) % lengths
+    minus = lengths - m
+    wrap = a > minus
+    runs = np.empty((lengths.size, 3), dtype=np.int64)
+    runs[:, 0] = np.where(wrap, a - minus, a)
+    runs[:, 1] = np.where(wrap, minus, m)
+    runs[:, 2] = lengths - runs[:, 0] - runs[:, 1]
+    bits = np.array([[0, 1, 0], [1, 0, 1]], dtype=np.uint8).take(wrap, axis=0).ravel()
+    runs = runs.ravel()
+    return [
+        BitString._from_plus(np.repeat(bits[3 * lo : 3 * hi], runs[3 * lo : 3 * hi]))
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
+
+
+def _decode_level(s: BitString, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # (m, n) of the consecutive segments that tile s, of the given lengths;
+    # the inverse of _encode_levels, raising on a non-codeword.  A segment is
+    # a codeword iff at most 2 of its adjacent bit pairs differ: with the
+    # wrap-around pair that count is even, and it is at most 2 iff the +1s
+    # form one cyclic block.  Bit i of the packed bytes XORed with their
+    # one-bit shift is set where bit i differs from bit i - 1; only that mask
+    # is unpacked, with one slot past the end.  With every segment bound set
+    # in it too, the marks after a segment's start are its internal changes
+    # e1 < e2, then its end, which stands in for a missing one.  The runs
+    # between the marks alternate in sign, so the segment's first bit, read
+    # off the bytes, fixes them: if it is +1 the middle run [e1, e2) is -1
+    # and the block starts at e2, otherwise the middle run is the block.
+    # Segments with no internal change are degenerate and keep n = 0.  Live
+    # segments only.
+    bits = s._bits
+    live = (lengths > 0).nonzero()[0]
+    l = lengths[live]
+    bounds = np.zeros(live.size + 1, dtype=np.int64)
+    l.cumsum(out=bounds[1:])
+    starts = bounds[:-1]
+    changes = bits >> 1
+    changes[1:] |= bits[:-1] << 7
+    changes ^= bits
+    # As bool, like live's mask above: numpy's nonzero is several times
+    # faster on bool than on integer arrays.
+    changes = np.unpackbits(changes, count=int(bounds[-1]) + 1).view(bool)
+    changes[bounds] = True
+    marks = changes.nonzero()[0]
+    at = np.searchsorted(marks, bounds)
+    gaps = at[1:] - at[:-1]  # internal changes + 1
+    if gaps.max() > 3:
+        raise NotCodewordError("segment is not a cyclic shift of a contiguous +1 block")
+    first = at[:-1] + 1
+    e1 = marks[first]
+    e2 = marks[np.minimum(first + 1, at[1:])]
+    starts_plus = (bits[starts >> 3] << (starts & 7)) & 0x80
+    middle = e2 - e1
+    m_live = np.where(starts_plus, l - middle, middle)
+    n_live = (starts - np.where(starts_plus, e2, e1) - (l >> 1)) % l
+    n_live[gaps == 1] = 0
+    m, n = np.zeros_like(lengths), np.zeros_like(lengths)
+    m[live], n[live] = m_live, n_live
+    return m, n
+
+
+def _gathered(s: BitString, slices, entries) -> BitString:
+    # out[r] = signs[r] * s[map[r]], a slice at a time.  slices are (lo, hi)
+    # bounds that cover rows 0..L-1 in order, each lo a multiple of 8, so a
+    # slice's bits fill output bytes [lo/8, hi/8); entries(lo, hi) gives the
+    # slice's map and signs.  take() casts only the slice's indices to intp.
     plus = s._plus()
-    block_starts = np.flatnonzero(plus > np.roll(plus, 1))
-    if block_starts.size != 1:
-        raise NotCodewordError(
-            f"{to_text(s)!r} is not a cyclic shift of a contiguous +1 block"
-        )
-    offset = (-int(block_starts[0])) % L
-    n = (offset - L // 2) % L
-    return Decoded(DiscretisedQubit(m, n, L), False)
+    out = np.empty(-(-len(s) // 8), dtype=np.uint8)
+    for lo, hi in slices:
+        index_map, signs = entries(lo, hi)
+        bits = plus.take(index_map)
+        bits ^= signs < 0  # a -1 sign turns +1 into -1 and back
+        out[lo // 8 : -(-hi // 8)] = np.packbits(bits)
+    return BitString._trusted(out, len(s))
 
 
 def born_frequency(s: BitString) -> Fraction:

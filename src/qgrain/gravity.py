@@ -30,6 +30,7 @@ from .nested import n_max
 
 _DEC_EXP_LIMIT = 10**6
 _CONSTANT_KEYS = ("G", "hbar", "t_P", "E_P")
+_MIN_PRECISION = 50  # digits; the float logarithms of L need no more
 
 
 def _context(precision: int) -> Context:
@@ -73,7 +74,7 @@ class PhysicalConstants:
         for name in _CONSTANT_KEYS:
             if getattr(self, name) <= 0:
                 raise ValueError(f"constant {name} must be positive")
-        if self.precision < 50:
+        if self.precision < _MIN_PRECISION:
             raise ValueError(f"precision must be >= 50 digits, got {self.precision}")
 
     @classmethod
@@ -271,7 +272,7 @@ def scenario_report(s: Scenario, c: PhysicalConstants = DEFAULT_CONSTANTS) -> Ca
         R, beta, E_G = _effective_e_g(s, c)
         tau = dp_time(E_G, c)
         L = l_of_scenario(s, c)
-        dec_L = Decimal(L)
+        dec_L, logs = Decimal(L), _context(_MIN_PRECISION)
         return CapacityReport(
             R=R,
             beta=beta,
@@ -279,7 +280,7 @@ def scenario_report(s: Scenario, c: PhysicalConstants = DEFAULT_CONSTANTS) -> Ca
             tau_DP=tau,
             tau_M=reduction_time(L, c),
             L=L,
-            log10_L=float(dec_L.log10()),
-            log2_L=float(dec_L.ln() / Decimal(2).ln()),
+            log10_L=float(logs.log10(dec_L)),
+            log2_L=float(logs.divide(logs.ln(dec_L), logs.ln(2))),
             n_max=n_max(L),
         )

@@ -6,13 +6,11 @@ conditional qubit of its branch.  Encoding maps the tree onto N strings of L
 bits each: string d concatenates, in node order, one codeword per depth-d
 node, where a node's segment length equals the +1 count (m) or -1 count of
 its parent segment.  Zero-length segments are absent branches; length-1
-segments are classical bits (m in {0, 1}, n = 0).  Decoding runs level by
-level: one pass over a level's sign changes, found on its packed bytes,
-gives its m, n and codeword check, and its m give the next level's lengths.
-Encoding walks the levels only for that length recurrence and builds the
-runs once per family, in heap order; each level is expanded one byte per bit
-and then packed eight bits to a byte.  Both cover live (l > 0) segments
-only.  The
+segments are classical bits (m in {0, 1}, n = 0).  The codec itself, for a
+level as for a single string, is ``bitstring``'s.  Decoding runs level by
+level: the codec gives a level's m and n, and its m give the next level's
+lengths.  Encoding walks the levels only for that length recurrence and hands
+the live (l > 0) segments to the codec once per family, in heap order.  The
 saturation sweep takes the exact state only on the quantised state's support:
 off it each overlap term is +-0 either way, so the fidelity is the same float.
 It runs one sample at a time and draws, decodes (``decode_nested``) and
@@ -34,7 +32,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bitstring import BitString, NotCodewordError
+from .bitstring import BitString, _decode_level, _encode_levels
 from .qubit import TWO_PI
 
 _MASK64 = (1 << 64) - 1
@@ -164,71 +162,6 @@ class NestedState:
         return slice(1 << (d - 1), 1 << d)
 
 
-def _run_table(lengths: np.ndarray, m: np.ndarray, n: np.ndarray):
-    # (bit, run) table of the codewords cyc(iota(l, m), l//2 + n), three runs
-    # per segment, bit 1 for +1.  The +1 block starts at a = -(l//2 + n) mod l
-    # and wraps past the segment end iff a + m > l.  No wrap: -1 x a, +1 x m,
-    # -1 x (l - a - m); wrap: +1 x (a + m - l), -1 x (l - m), +1 x (l - a).
-    a = -(lengths // 2 + n) % np.maximum(lengths, 1)
-    wrap = a + m > lengths
-    runs = np.empty((lengths.size, 3), dtype=np.int64)
-    runs[:, 0] = np.where(wrap, a + m - lengths, a)
-    runs[:, 1] = np.where(wrap, lengths - m, m)
-    runs[:, 2] = lengths - runs[:, 0] - runs[:, 1]
-    bits = np.array([[0, 1, 0], [1, 0, 1]], dtype=np.uint8).take(wrap, axis=0)  # row by wrap
-    return bits.ravel(), runs.ravel()
-
-
-def _level_codeword(lengths: np.ndarray, m: np.ndarray, n: np.ndarray) -> np.ndarray:
-    # Concatenated codewords of consecutive segments, as packed bytes.
-    return np.packbits(np.repeat(*_run_table(lengths, m, n)))
-
-
-def _decode_level(bits: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (m, n) of the consecutive segments that tile a level, given as packed
-    # bytes; the inverse of _level_codeword, raising on a non-codeword.  A
-    # segment is a codeword iff at most 2 of its adjacent bit pairs differ:
-    # with the wrap-around pair that count is even, and it is at most 2 iff
-    # the +1s form one cyclic block.  Bit i of the bytes XORed with their
-    # one-bit shift is set where bit i differs from bit i - 1; only that mask
-    # is unpacked, with one slot past the end.  With every segment bound set
-    # in it too, the marks after a segment's start are its internal changes
-    # e1 < e2, then its end, which stands in for a missing one.  The runs
-    # between the marks alternate in sign, so the segment's first bit, read
-    # off the bytes, fixes them: if it is +1 the middle run [e1, e2) is -1
-    # and the block starts at e2, otherwise the middle run is the block.
-    # Segments with no internal change are degenerate and keep n = 0.  Live
-    # segments only.
-    live = (lengths > 0).nonzero()[0]
-    l = lengths[live]
-    bounds = np.zeros(live.size + 1, dtype=np.int64)
-    l.cumsum(out=bounds[1:])
-    starts = bounds[:-1]
-    changes = bits >> 1
-    changes[1:] |= bits[:-1] << 7
-    changes ^= bits
-    # As bool, like live's mask above: numpy's nonzero is several times
-    # faster on bool than on integer arrays.
-    changes = np.unpackbits(changes, count=int(bounds[-1]) + 1).view(bool)
-    changes[bounds] = True
-    marks = changes.nonzero()[0]
-    at = np.searchsorted(marks, bounds)
-    gaps = at[1:] - at[:-1]  # internal changes + 1
-    if gaps.max() > 3:
-        raise NotCodewordError("segment is not a cyclic shift of a contiguous +1 block")
-    first = at[:-1] + 1
-    e1 = marks[first]
-    e2 = marks[np.minimum(first + 1, at[1:])]
-    starts_plus = (bits[starts >> 3] << (starts & 7)) & 0x80
-    middle = e2 - e1
-    m_live = np.where(starts_plus, l - middle, middle)
-    n_live = (starts - np.where(starts_plus, e2, e1) - (l >> 1)) % l
-    n_live[gaps == 1] = 0
-    m, n = np.zeros_like(lengths), np.zeros_like(lengths)
-    m[live], n[live] = m_live, n_live
-    return m, n
-
-
 def _walk_levels(depth: int, L: int, level_m):
     # Heap arrays m and lengths, root down, by l_2k = m_k, l_2k+1 = l_k - m_k.
     # level_m(d, lengths) gives the depth-d m for the depth-d lengths; decode's
@@ -275,13 +208,9 @@ def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState
     n = np.zeros_like(lengths)
     np.mod(np.ceil(l * frac - 0.5).astype(np.int64), np.maximum(l, 1), out=n[1:])
     n[(m == 0) | (m == lengths)] = 0  # degenerate or absent (m <= l)
-    live = (lengths > 0).nonzero()[0]  # absent nodes would emit empty runs
-    bits, runs = _run_table(lengths[live], m[live], n[live])  # level d's: [cuts[d - 1], cuts[d])
-    cuts = 3 * np.searchsorted(live, [1 << d for d in range(tree.depth + 1)])
-    strings = [
-        BitString._from_plus(np.repeat(bits[a:b], runs[a:b]))
-        for a, b in zip(cuts, cuts[1:])
-    ]
+    live = (lengths > 0).nonzero()[0]  # string d codes live[cuts[d - 1] : cuts[d]]
+    cuts = np.searchsorted(live, [1 << d for d in range(tree.depth + 1)])
+    strings = _encode_levels(lengths[live], m[live], n[live], cuts)
     return strings, NestedState(tree.depth, L, m, n, lengths)
 
 
@@ -296,7 +225,7 @@ def decode_nested(strings: Sequence[BitString]) -> NestedState:
     n = np.zeros(1 << len(strings), dtype=np.int64)
 
     def level_m(d: int, lengths: np.ndarray):
-        m, n[1 << (d - 1) : 1 << d] = _decode_level(strings[d - 1]._bits, lengths)
+        m, n[1 << (d - 1) : 1 << d] = _decode_level(strings[d - 1], lengths)
         return m
 
     m, lengths = _walk_levels(len(strings), L, level_m)

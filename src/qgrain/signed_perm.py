@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitstring import BitString, concat, cyc, equivalent_mod_xi, iota, negate
+from .bitstring import BitString, _gathered, concat, cyc, equivalent_mod_xi, iota, negate
 
 
 # Entries per slice that SignedPermutation.__eq__ compares at a time.
@@ -113,7 +113,8 @@ def apply(a: SignedPermutation, s: BitString) -> BitString:
     """Operator action, equal to the dense matrix-vector product."""
     if len(a) != len(s):
         raise ValueError(f"operator length {len(a)} != string length {len(s)}")
-    return _gathered(s, lambda lo, hi: (a.index_map[lo:hi], a.signs[lo:hi]))
+    slices = _row_slices(len(s))
+    return _gathered(s, slices, lambda lo, hi: (a.index_map[lo:hi], a.signs[lo:hi]))
 
 
 # Row slices: at most _MAX_SLICES of them, each at least _MIN_SLICE rows and a
@@ -128,21 +129,6 @@ def _row_slices(n: int):
     return ((lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
-def _gathered(s: BitString, entries) -> BitString:
-    # out[r] = signs[r] * s[map[r]], a slice at a time: entries(lo, hi) gives
-    # the slice's map and signs, and its bits fill output bytes [lo/8, hi/8).
-    # take() casts only the slice's indices to intp.
-    L = len(s)
-    plus = s._plus()
-    out = np.empty(-(-L // 8), dtype=np.uint8)
-    for lo, hi in _row_slices(L):
-        index_map, signs = entries(lo, hi)
-        bits = plus.take(index_map)
-        bits ^= signs < 0  # a -1 sign turns +1 into -1 and back
-        out[lo // 8 : -(-hi // 8)] = np.packbits(bits)
-    return BitString._trusted(out, L)
-
-
 def _rows(lo: int, hi: int, L: int) -> np.ndarray:
     return np.arange(lo, hi, dtype=_map_dtype(L))
 
@@ -150,7 +136,7 @@ def _rows(lo: int, hi: int, L: int) -> np.ndarray:
 def _applied(rule, s: BitString) -> BitString:
     """apply(op, s) for the operator of length len(s) that rule defines."""
     L = len(s)
-    return _gathered(s, lambda lo, hi: rule(_rows(lo, hi, L), L))
+    return _gathered(s, _row_slices(L), lambda lo, hi: rule(_rows(lo, hi, L), L))
 
 
 def compose(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:

@@ -5,8 +5,10 @@ enumerates every angle that is a rational multiple of pi (denominator-bounded)
 and tests cosine membership at high precision; the dense oracle multiplies
 full matrices; the column oracle lexsorts the raw sign columns; the string
 producers build one int8 +1/-1 entry per bit, where the library packs eight
-bits to a byte; the generator builders assemble each operator whole from its
-half-size blocks, where the library evaluates one index rule per row.
+bits to a byte; the single-string codec shifts and scans such an array, where
+the library runs its level kernels on one segment; the generator builders
+assemble each operator whole from its half-size blocks, where the library
+evaluates one index rule per row.
 """
 
 from __future__ import annotations
@@ -108,6 +110,28 @@ def negate(values: np.ndarray) -> np.ndarray:
 
 def concat(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([a, b])
+
+
+def encode(L: int, m: int, n: int) -> np.ndarray:
+    """Codeword of the grid state (m, n, L): cyc(iota(L, m), L/2 + n)."""
+    return cyc(iota(L, m), L // 2 + n)
+
+
+def decode(values: np.ndarray) -> tuple[int, int, bool] | None:
+    """(m, n, degenerate) of a codeword, or None if its +1s are not one cyclic block.
+
+    m is the +1 count.  An all-equal string is degenerate with n = 0;
+    otherwise the start of the single cyclic +1 block pins the shift, hence n.
+    """
+    L = values.size
+    plus = values == 1
+    m = int(plus.sum())
+    if m == 0 or m == L:
+        return m, 0, True
+    block_starts = np.flatnonzero(plus > np.roll(plus, 1))
+    if block_starts.size != 1:
+        return None
+    return m, (-int(block_starts[0]) - L // 2) % L, False
 
 
 def apply_permutation(values: np.ndarray, perm: np.ndarray) -> np.ndarray:

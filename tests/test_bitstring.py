@@ -1,6 +1,8 @@
 from fractions import Fraction
+from pathlib import Path
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,6 +27,7 @@ from qgrain.bitstring import (
     to_text,
     to_wire,
 )
+import qgrain
 from qgrain.nested import encode_nested, random_angle_tree
 from qgrain.qubit import DiscretisedQubit
 from qgrain.signed_perm import SignedPermutation, apply
@@ -81,6 +84,48 @@ def test_decode_examples():
     assert decoded.qubit == DiscretisedQubit(0, 0, 4) and decoded.degenerate
     with pytest.raises(NotCodewordError):
         decode(bits(1, -1, 1, -1))
+
+
+def test_encode_matches_the_single_string_oracle():
+    # Every grid state at even L < 40 against the oracle's shifted block.
+    for L in range(2, 40, 2):
+        for m in range(L + 1):
+            for n in range(L):
+                expected = oracles.encode(L, m, n)
+                assert np.array_equal(encode(DiscretisedQubit(m, n, L)).values, expected)
+
+
+def test_decode_matches_the_single_string_oracle():
+    # Every string of length 1 to 12, odd lengths included.
+    for L in range(1, 13):
+        for entries in itertools.product((1, -1), repeat=L):
+            s = BitString(entries)
+            expected = oracles.decode(s.values)
+            if expected is None:
+                with pytest.raises(NotCodewordError) as excinfo:
+                    decode(s)
+                why = f"{to_text(s)!r} is not a cyclic shift of a contiguous +1 block"
+                assert str(excinfo.value) == why
+                continue
+            decoded = decode(s)
+            m, n, degenerate = expected
+            assert decoded.qubit == DiscretisedQubit(m, n, L)
+            assert type(decoded.qubit.m) is int and type(decoded.qubit.n) is int
+            assert type(decoded.degenerate) is bool and decoded.degenerate == degenerate
+
+
+def test_only_bitstring_reads_the_packed_format():
+    # The +1 mask packed eight bits to a byte is bitstring.py's alone: no
+    # other module packs, unpacks or reads a string's bytes.
+    pattern = re.compile(r"\._bits\b|\._plus\(|_from_plus|BitString\._trusted|packbits|unpackbits")
+    hits = [
+        f"{path.name}:{number}: {line.strip()}"
+        for path in sorted(Path(qgrain.__file__).parent.glob("*.py"))
+        if path.name != "bitstring.py"
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if pattern.search(line)
+    ]
+    assert hits == []
 
 
 def test_round_trip_exhaustive_small():

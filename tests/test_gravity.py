@@ -1,4 +1,5 @@
 import math
+import time
 import warnings
 from decimal import Decimal, Underflow
 from fractions import Fraction
@@ -206,6 +207,17 @@ def test_precision_independence():
     coarse = scenario_report(ELECTRON, PhysicalConstants(precision=100)).log10_L
     fine = scenario_report(ELECTRON, PhysicalConstants(precision=200)).log10_L
     assert abs(coarse - fine) < 1e-6
+
+
+def test_float_logarithms_do_not_scale_with_the_working_precision():
+    # log10_L and log2_L are floats, taken at 50 digits: at the working
+    # precision their ln and log10 took 27 s at 10,000 digits.
+    report = scenario_report(ELECTRON)
+    t0 = time.perf_counter()
+    fine = scenario_report(ELECTRON, PhysicalConstants(precision=10_000))
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0
+    assert (fine.log10_L, fine.log2_L, fine.n_max) == (report.log10_L, report.log2_L, report.n_max)
 
 
 def test_constants_validation():

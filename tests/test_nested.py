@@ -10,19 +10,16 @@ from hypothesis import given, settings, strategies as st
 from qgrain.bitstring import (
     BitString,
     NotCodewordError,
-    cyc,
-    decode,
+    _decode_level,
+    _encode_levels,
     encode,
     from_text,
-    iota,
     negate,
     to_text,
 )
 from qgrain import nested
 from qgrain.nested import (
     AngleTree,
-    _decode_level,
-    _level_codeword,
     amplitudes,
     amplitudes_of_tree,
     capacity_deficient,
@@ -35,6 +32,8 @@ from qgrain.nested import (
     saturation_experiment,
 )
 from qgrain.qubit import TWO_PI, DiscretisedQubit, quantise
+
+import oracles
 
 
 def test_dof_count_examples():
@@ -259,8 +258,9 @@ def test_decode_nested_megabit_memory():
 
 
 def _decode_segment_by_segment(strings):
-    # Reference for decode_nested: bitstring.decode on every live segment,
-    # root down, with children of lengths m and l - m.
+    # Reference for decode_nested: the single-string oracle on every live
+    # segment, root down, with children of lengths m and l - m; None where a
+    # segment is not a codeword.
     depth, L = len(strings), len(strings[0])
     m, n, lengths = (np.zeros(1 << depth, dtype=np.int64) for _ in range(3))
     lengths[1] = L
@@ -269,8 +269,10 @@ def _decode_segment_by_segment(strings):
         for k in range(1 << (d - 1), 1 << d):
             l = int(lengths[k])
             if l:
-                q = decode(BitString(string.values[start : start + l])).qubit
-                m[k], n[k] = q.m, q.n
+                decoded = oracles.decode(string.values[start : start + l])
+                if decoded is None:
+                    return None
+                m[k], n[k], _ = decoded
                 start += l
             if d < depth:
                 lengths[2 * k], lengths[2 * k + 1] = m[k], l - m[k]
@@ -287,9 +289,8 @@ def test_decode_nested_matches_segment_by_segment_decode(depth, half_L, seed, da
     for d, i in data.draw(st.lists(bits, max_size=3), label="flips"):
         values[d][i] *= -1
     family = [BitString(v) for v in values]
-    try:
-        expected = _decode_segment_by_segment(family)
-    except NotCodewordError:
+    expected = _decode_segment_by_segment(family)
+    if expected is None:
         with pytest.raises(NotCodewordError, match=NOT_CODEWORD):
             decode_nested(family)
         return
@@ -310,9 +311,16 @@ def level_arrays(segs):
     return tuple(np.array(col, dtype=np.int64) for col in zip(*segs))
 
 
+def level_codewords(lengths, m, n):
+    # _encode_levels on one level whose segments include absent ones: the one
+    # string of its live segments' codewords.
+    live = lengths > 0
+    return _encode_levels(lengths[live], m[live], n[live], [0, int(live.sum())])[0]
+
+
 def assert_decode_matches_single_segment_codec(values, lengths):
-    # Oracle: bitstring.decode on each segment of the +1/-1 values on its own;
-    # _decode_level reads the same level packed eight bits to a byte.
+    # Oracle: the single-string codec on each segment of the +1/-1 values on
+    # its own; _decode_level reads the same level packed eight bits to a byte.
     expected_m, expected_n = [], []
     failed = False
     for start, length in zip(np.cumsum(lengths) - lengths, lengths):
@@ -321,19 +329,18 @@ def assert_decode_matches_single_segment_codec(values, lengths):
             expected_m.append(0)
             expected_n.append(0)
             continue
-        try:
-            q = decode(BitString(piece)).qubit
-        except NotCodewordError:
+        decoded = oracles.decode(piece)
+        if decoded is None:
             failed = True
             break
-        expected_m.append(q.m)
-        expected_n.append(q.n)
-    packed = np.packbits(values == 1)
+        expected_m.append(decoded[0])
+        expected_n.append(decoded[1])
+    level = BitString(values)
     if failed:
-        with pytest.raises(NotCodewordError):
-            _decode_level(packed, lengths)
+        with pytest.raises(NotCodewordError, match=NOT_CODEWORD):
+            _decode_level(level, lengths)
         return
-    m, n = _decode_level(packed, lengths)
+    m, n = _decode_level(level, lengths)
     assert m.tolist() == expected_m
     assert n.tolist() == expected_n
 
@@ -342,10 +349,9 @@ def assert_decode_matches_single_segment_codec(values, lengths):
 @settings(max_examples=200)
 def test_level_codeword_matches_single_segment_codec(segs):
     lengths, m, n = level_arrays(segs)
-    expected = np.concatenate([cyc(iota(l, mm), l // 2 + nn).values for l, mm, nn in segs if l > 0])
-    got = _level_codeword(lengths, m, n)
-    assert got.dtype == np.uint8
-    assert np.array_equal(got, np.packbits(expected == 1))
+    expected = np.concatenate([oracles.encode(l, mm, nn) for l, mm, nn in segs if l > 0])
+    got = level_codewords(lengths, m, n)
+    assert np.array_equal(got.values, expected)
     assert_decode_matches_single_segment_codec(expected, lengths)
 
 
@@ -362,8 +368,9 @@ def test_encode_nested_strings_are_level_codewords_of_heap_slices(depth, half_L,
     strings, state = encode_nested(tree, L)
     for d, string in enumerate(strings, start=1):
         sl = state.level_slice(d)
-        codeword = _level_codeword(state.lengths[sl], state.m[sl], state.n[sl])
-        assert np.array_equal(np.packbits(string.values == 1), codeword)
+        segs = zip(state.lengths[sl], state.m[sl], state.n[sl])
+        codeword = np.concatenate([oracles.encode(l, m, n) for l, m, n in segs if l > 0])
+        assert np.array_equal(string.values, codeword)
     for k in range(1, 1 << depth):
         l, m = int(state.lengths[k]), int(state.m[k])
         if 0 < m < l:  # scalar oracle for the phase: qubit.quantise's n rule
@@ -384,7 +391,7 @@ def test_decode_level_matches_single_segment_codec(segs, data):
             dtype=np.int8,
         )
     else:
-        values = np.unpackbits(_level_codeword(lengths, m, n), count=total).astype(np.int8) * 2 - 1
+        values = np.array(level_codewords(lengths, m, n).values)
         flips = data.draw(st.lists(st.integers(0, total - 1), max_size=3))
         values[flips] *= -1
     assert_decode_matches_single_segment_codec(values, lengths)
