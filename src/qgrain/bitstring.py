@@ -14,9 +14,11 @@ is fixed to the identity here, and handled separately by
 
 One codec serves a single string and a level of a nested state, whose string
 concatenates one codeword per live (l > 0) segment: ``encode`` and ``decode``
-are its one-segment callers.  Encoding expands three runs per segment, one
-byte per bit, then packs; decoding reads a level's sign changes off its
-packed bytes.  No other module reads or writes the packed bytes.
+are its one-segment callers.  Encoding expands three runs per segment and
+packs them; decoding reads a level's sign changes off its packed bytes.  A
+string longer than 2^16 bits is coded a bounded slice of its bits at a time,
+so no temporary holds a byte per bit of a whole string.  No other module
+reads or writes the packed bytes.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ from .qubit import DiscretisedQubit
 
 class NotCodewordError(ValueError):
     """The string is not a cyclic shift of any contiguous +1 block."""
+
+
+_NOT_A_BLOCK = "segment is not a cyclic shift of a contiguous +1 block"
 
 
 class BitString:
@@ -90,7 +95,7 @@ class BitString:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitString):
             return NotImplemented
-        return self._length == other._length and self._bits.tobytes() == other._bits.tobytes()
+        return self._length == other._length and np.array_equal(self._bits, other._bits)
 
     def __hash__(self) -> int:
         return hash((self._length, self._bits.tobytes()))
@@ -101,7 +106,12 @@ class BitString:
 
 def to_text(s: BitString) -> str:
     """Render as a string over '+' and '-' (bytes 45 - 2 * bit: 43 and 45)."""
-    text = s._plus()
+    return _text(s._bits, len(s))
+
+
+def _text(bits: np.ndarray, count: int) -> str:
+    # to_text of the first count bits of the packed bytes.
+    text = np.unpackbits(bits, count=count)
     text <<= 1
     return np.subtract(45, text, out=text).tobytes().decode("ascii")
 
@@ -165,7 +175,7 @@ def encode(q: DiscretisedQubit) -> BitString:
         raise ValueError(f"encoding requires even granularity, got L={q.L}")
     if q.L >= 1 << 63:
         raise ValueError(f"string needs L in [1, 2^63) (int64 limit), got L={q.L}")
-    return _encode_levels(np.array([q.L]), np.array([q.m]), np.array([q.n]), [0, 1])[0]
+    return _encode_levels(q.L, np.array([q.L]), np.array([q.m]), np.array([q.n]), [0, 1])[0]
 
 
 class Decoded(NamedTuple):
@@ -186,15 +196,19 @@ def decode(s: BitString) -> Decoded:
     try:
         m, n = _decode_level(s, np.array([L]))
     except NotCodewordError:
-        why = f"{to_text(s)!r} is not a cyclic shift of a contiguous +1 block"
-        raise NotCodewordError(why) from None
+        # A long string is named by its length and first 64 bits, so the
+        # error path holds no text of the whole string.
+        head = repr(to_text(s)) if L <= 64 else f"{L}-bit {_text(s._bits[:8], 64)!r}..."
+        raise NotCodewordError(f"{head} is not a cyclic shift of a contiguous +1 block") from None
     m = int(m[0])
     return Decoded(DiscretisedQubit(m, int(n[0]), L), m in (0, L))
 
 
-def _encode_levels(lengths: np.ndarray, m: np.ndarray, n: np.ndarray, cuts) -> list[BitString]:
-    # Strings of concatenated codewords cyc(iota(l, m), l//2 + n) of live
-    # (l > 0) segments: string i holds segments cuts[i] .. cuts[i + 1] - 1.
+def _encode_levels(
+    L: int, lengths: np.ndarray, m: np.ndarray, n: np.ndarray, cuts
+) -> list[BitString]:
+    # L-bit strings of concatenated codewords cyc(iota(l, m), l//2 + n) of
+    # live (l > 0) segments: string i holds segments cuts[i] .. cuts[i + 1] - 1.
     # Three runs per segment, bit 1 for +1, in one table for all strings.
     # The +1 block starts at a = -(l//2 + n) mod l and wraps past the segment
     # end iff a + m > l.  No wrap: -1 x a, +1 x m, -1 x (l - a - m); wrap:
@@ -209,10 +223,33 @@ def _encode_levels(lengths: np.ndarray, m: np.ndarray, n: np.ndarray, cuts) -> l
     runs[:, 2] = lengths - runs[:, 0] - runs[:, 1]
     bits = np.array([[0, 1, 0], [1, 0, 1]], dtype=np.uint8).take(wrap, axis=0).ravel()
     runs = runs.ravel()
-    return [
-        BitString._from_plus(np.repeat(bits[3 * lo : 3 * hi], runs[3 * lo : 3 * hi]))
-        for lo, hi in zip(cuts, cuts[1:])
-    ]
+    spans = [(bits[3 * lo : 3 * hi], runs[3 * lo : 3 * hi]) for lo, hi in zip(cuts, cuts[1:])]
+    if L <= _CODEC_SLICE:
+        return [BitString._from_plus(np.repeat(b, r)) for b, r in spans]
+    return [_expanded(b, r, L) for b, r in spans]
+
+
+def _expanded(bits: np.ndarray, runs: np.ndarray, L: int) -> BitString:
+    # The L-bit string of the given runs, expanded and packed a slice at a
+    # time.  Slice [lo, hi) takes runs first .. last, from the first run that
+    # ends past lo to the first that ends at or past hi, cut to the slice.
+    # Neither sort nor diff splits the run table: on first use each adds
+    # ~0.1 MB of RSS to a CLI call.
+    slices = list(_row_slices(L, _CODEC_SLICE))
+    ends = runs.cumsum()
+    firsts = ends.searchsorted([lo for lo, _ in slices], "right").tolist()
+    lasts = ends.searchsorted([hi for _, hi in slices]).tolist()
+    out = np.empty(-(-L // 8), dtype=np.uint8)
+    for (lo, hi), first, last in zip(slices, firsts, lasts):
+        if first == last and hi % 8 == 0:  # inside one run: its bit in every byte
+            out[lo // 8 : hi // 8] = 0xFF if bits[first] else 0
+        else:
+            part = runs[first : last + 1].copy()
+            part[0] = ends[first] - lo
+            part[-1] -= ends[last] - hi
+            expanded = np.repeat(bits[first : last + 1], part)
+            out[lo // 8 : -(-hi // 8)] = np.packbits(expanded)
+    return BitString._trusted(out, L)
 
 
 def _decode_level(s: BitString, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,34 +257,47 @@ def _decode_level(s: BitString, lengths: np.ndarray) -> tuple[np.ndarray, np.nda
     # the inverse of _encode_levels, raising on a non-codeword.  A segment is
     # a codeword iff at most 2 of its adjacent bit pairs differ: with the
     # wrap-around pair that count is even, and it is at most 2 iff the +1s
-    # form one cyclic block.  Bit i of the packed bytes XORed with their
-    # one-bit shift is set where bit i differs from bit i - 1; only that mask
-    # is unpacked, with one slot past the end.  With every segment bound set
-    # in it too, the marks after a segment's start are its internal changes
-    # e1 < e2, then its end, which stands in for a missing one.  The runs
-    # between the marks alternate in sign, so the segment's first bit, read
-    # off the bytes, fixes them: if it is +1 the middle run [e1, e2) is -1
-    # and the block starts at e2, otherwise the middle run is the block.
-    # Segments with no internal change are degenerate and keep n = 0.  Live
-    # segments only.
+    # form one cyclic block.  The marks are the bits that differ from the bit
+    # before them, every segment bound and the slot past the end; after a
+    # segment's start they are its internal changes e1 < e2, then its end,
+    # which stands in for a missing one.  The runs between the marks alternate
+    # in sign, so the segment's first bit, read off the bytes, fixes them: if
+    # it is +1 the middle run [e1, e2) is -1 and the block starts at e2,
+    # otherwise the middle run is the block.  Segments with no internal
+    # change are degenerate and keep n = 0.  Live segments only.
     bits = s._bits
     live = (lengths > 0).nonzero()[0]
     l = lengths[live]
     bounds = np.zeros(live.size + 1, dtype=np.int64)
     l.cumsum(out=bounds[1:])
     starts = bounds[:-1]
-    changes = bits >> 1
-    changes[1:] |= bits[:-1] << 7
-    changes ^= bits
-    # As bool, like live's mask above: numpy's nonzero is several times
-    # faster on bool than on integer arrays.
-    changes = np.unpackbits(changes, count=int(bounds[-1]) + 1).view(bool)
-    changes[bounds] = True
-    marks = changes.nonzero()[0]
+    L = int(bounds[-1])
+    if L <= _CODEC_SLICE:
+        marks = _marks(_changes(bits, 0, L + 1), L + 1, bounds)
+    else:
+        # A level of codewords has at most 3 marks per segment and its end,
+        # so a level with more is refused before it holds them all.  A slice
+        # without a change marks only the bounds in it.
+        slices = list(_row_slices(L, _CODEC_SLICE))
+        at = bounds.searchsorted([lo for lo, _ in slices] + [L + 1]).tolist()
+        parts, count = [], 0
+        for (lo, hi), i, j in zip(slices, at, at[1:]):
+            end = hi + (hi == L)
+            changes = _changes(bits, lo, end)
+            if changes.any():
+                part = _marks(changes, end - lo, bounds[i:j] - lo)
+                part += lo
+            else:
+                part = bounds[i:j]
+            count += part.size
+            if count > 3 * live.size + 1:
+                raise NotCodewordError(_NOT_A_BLOCK)
+            parts.append(part)
+        marks = np.concatenate(parts)
     at = np.searchsorted(marks, bounds)
     gaps = at[1:] - at[:-1]  # internal changes + 1
     if gaps.max() > 3:
-        raise NotCodewordError("segment is not a cyclic shift of a contiguous +1 block")
+        raise NotCodewordError(_NOT_A_BLOCK)
     first = at[:-1] + 1
     e1 = marks[first]
     e2 = marks[np.minimum(first + 1, at[1:])]
@@ -261,11 +311,53 @@ def _decode_level(s: BitString, lengths: np.ndarray) -> tuple[np.ndarray, np.nda
     return m, n
 
 
+def _changes(bits: np.ndarray, lo: int, end: int) -> np.ndarray:
+    # Packed mask of the bits p in [lo, end) that differ from bit p - 1 (bit
+    # -1 and the padding past the string read 0); lo is a multiple of 8.  Bit
+    # i of the packed bytes XORed with their one-bit shift is set where bit i
+    # differs from bit i - 1, and from lo > 0 the byte before the slice
+    # supplies bit lo - 1.
+    skip = int(lo > 0)
+    chunk = bits[lo // 8 - skip : -(-end // 8)]
+    changes = chunk >> 1
+    changes[1:] |= chunk[:-1] << 7
+    changes ^= chunk
+    return changes[skip:]
+
+
+def _marks(changes: np.ndarray, count: int, at: np.ndarray) -> np.ndarray:
+    # Offsets, in order, of the first count bits of the packed mask that are
+    # set or listed in at.  Only the mask is unpacked, as bool, like live's
+    # mask in _decode_level: numpy's nonzero is several times faster on bool
+    # than on integer arrays.
+    mask = np.unpackbits(changes, count=count).view(bool)
+    mask[at] = True
+    return mask.nonzero()[0]
+
+
+_MAX_SLICES = 64
+# The codec's least slice: a level of up to 2^16 bits runs whole, and a
+# longer one in at most 64 slices of at least 2^16 bits, whose bookkeeping
+# stays small next to their per-bit work.
+_CODEC_SLICE = 1 << 16
+
+
+def _row_slices(n: int, least: int):
+    """(lo, hi) bounds of the slices that cover rows 0..n-1 in order.
+
+    At most _MAX_SLICES of them, each at least ``least`` rows (the last may
+    be shorter) and a multiple of 8, so a slice's bits fill whole bytes of a
+    packed string.
+    """
+    step = max(least, -(-n // (8 * _MAX_SLICES)) * 8)
+    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
 def _gathered(s: BitString, slices, entries) -> BitString:
     # out[r] = signs[r] * s[map[r]], a slice at a time.  slices are (lo, hi)
-    # bounds that cover rows 0..L-1 in order, each lo a multiple of 8, so a
-    # slice's bits fill output bytes [lo/8, hi/8); entries(lo, hi) gives the
-    # slice's map and signs.  take() casts only the slice's indices to intp.
+    # bounds from _row_slices, so each lo is a multiple of 8 and a slice's
+    # bits fill output bytes [lo/8, hi/8); entries(lo, hi) gives the slice's
+    # map and signs.  take() casts only the slice's indices to intp.
     plus = s._plus()
     out = np.empty(-(-len(s) // 8), dtype=np.uint8)
     for lo, hi in slices:

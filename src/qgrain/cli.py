@@ -174,7 +174,7 @@ def cmd_uncertainty(args: argparse.Namespace, cfg: RunConfig) -> Result:
     # the same stream however the draws are split, and Direction refuses a
     # NaN, so the count and the minimum do not depend on the slicing.
     satisfied, worst = 0, float("inf")
-    for lo, hi in signed_perm._row_slices(args.samples):
+    for lo, hi in bitstring._row_slices(args.samples, signed_perm._MIN_SLICE):
         vecs = rng.normal(size=(hi - lo, 3))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         lhs, rhs, ok = uncertainty_check(Direction(*vecs.T))

@@ -210,7 +210,7 @@ def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState
     n[(m == 0) | (m == lengths)] = 0  # degenerate or absent (m <= l)
     live = (lengths > 0).nonzero()[0]  # string d codes live[cuts[d - 1] : cuts[d]]
     cuts = np.searchsorted(live, [1 << d for d in range(tree.depth + 1)])
-    strings = _encode_levels(lengths[live], m[live], n[live], cuts)
+    strings = _encode_levels(L, lengths[live], m[live], n[live], cuts)
     return strings, NestedState(tree.depth, L, m, n, lengths)
 
 

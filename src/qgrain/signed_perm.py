@@ -25,11 +25,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitstring import BitString, _gathered, concat, cyc, equivalent_mod_xi, iota, negate
+from .bitstring import BitString, _gathered, _row_slices, concat, cyc, equivalent_mod_xi, iota, negate
 
 
 # Entries per slice that SignedPermutation.__eq__ compares at a time.
 _EQ_CHUNK = 1 << 16
+# Least rows per slice (see bitstring._row_slices) in which operators are
+# applied and verified.
+_MIN_SLICE = 1 << 12
 
 
 class SignedPermutation:
@@ -113,20 +116,8 @@ def apply(a: SignedPermutation, s: BitString) -> BitString:
     """Operator action, equal to the dense matrix-vector product."""
     if len(a) != len(s):
         raise ValueError(f"operator length {len(a)} != string length {len(s)}")
-    slices = _row_slices(len(s))
+    slices = _row_slices(len(s), _MIN_SLICE)
     return _gathered(s, slices, lambda lo, hi: (a.index_map[lo:hi], a.signs[lo:hi]))
-
-
-# Row slices: at most _MAX_SLICES of them, each at least _MIN_SLICE rows and a
-# multiple of 8, so a slice's bits fill whole bytes of a packed string.
-_MAX_SLICES = 64
-_MIN_SLICE = 1 << 12
-
-
-def _row_slices(n: int):
-    """(lo, hi) bounds of the slices that cover rows 0..n-1 in order."""
-    step = max(_MIN_SLICE, -(-n // (8 * _MAX_SLICES)) * 8)
-    return ((lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 def _rows(lo: int, hi: int, L: int) -> np.ndarray:
@@ -136,7 +127,7 @@ def _rows(lo: int, hi: int, L: int) -> np.ndarray:
 def _applied(rule, s: BitString) -> BitString:
     """apply(op, s) for the operator of length len(s) that rule defines."""
     L = len(s)
-    return _gathered(s, _row_slices(L), lambda lo, hi: rule(_rows(lo, hi, L), L))
+    return _gathered(s, _row_slices(L, _MIN_SLICE), lambda lo, hi: rule(_rows(lo, hi, L), L))
 
 
 def compose(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:
@@ -291,7 +282,7 @@ def verify_quaternion(L: int) -> bool:
             and compose(k, k) == minus_one
             and compose(i, j) == k
         )
-    for lo, hi in _row_slices(L):
+    for lo, hi in _row_slices(L, _MIN_SLICE):
         rows = _rows(lo, hi, L)
         i_map, i_signs = _i_at(rows.copy(), L)
         j_map, j_signs = _j_at(i_map.copy(), L)  # j after i

@@ -114,6 +114,25 @@ def test_decode_matches_the_single_string_oracle():
             assert type(decoded.degenerate) is bool and decoded.degenerate == degenerate
 
 
+@pytest.mark.parametrize("L", [64, 65, 1 << 20])
+def test_decode_error_quotes_at_most_64_bits(L):
+    # Up to 64 bits the message quotes the whole string, as for the lengths
+    # above; a longer one is named by its length and first 64 bits, and the
+    # error path holds no text or unpacked copy of the whole string.
+    s = BitString(np.random.default_rng(L).choice(np.array([1, -1], dtype=np.int8), L))
+    head = to_text(s)[:64]
+    why = f"{head!r}" if L <= 64 else f"{L}-bit {head!r}..."
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotCodewordError) as excinfo:
+            decode(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(excinfo.value) == f"{why} is not a cyclic shift of a contiguous +1 block"
+    assert peak <= 0.5 * 2**20, f"decode's error path peaked at {peak / 2**20:.2f} MiB"
+
+
 def test_only_bitstring_reads_the_packed_format():
     # The +1 mask packed eight bits to a byte is bitstring.py's alone: no
     # other module packs, unpacks or reads a string's bytes.

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qgrain import signed_perm
+from qgrain import bitstring, signed_perm
 from qgrain.bitstring import BitString, cyc, iota
 from qgrain.signed_perm import (
     SignedPermutation,
@@ -142,7 +142,7 @@ def test_index_rule_matches_the_block_form(name, L):
     assert np.array_equal(got_map, want_map) and np.array_equal(got_signs, want_signs)
     op = factory(L)
     assert np.array_equal(op.index_map, want_map) and np.array_equal(op.signs, want_signs)
-    for lo, hi in signed_perm._row_slices(L):  # a slice's rows give the same entries
+    for lo, hi in bitstring._row_slices(L, signed_perm._MIN_SLICE):  # a slice's rows give the same entries
         part_map, part_signs = rule(np.arange(lo, hi, dtype=rows.dtype), L)
         assert np.array_equal(part_map, want_map[lo:hi])
         assert np.array_equal(part_signs, want_signs[lo:hi])
@@ -150,14 +150,16 @@ def test_index_rule_matches_the_block_form(name, L):
 
 @pytest.mark.parametrize("n", [1, 7, 8, 2**12, 2**12 + 1, 2**15 + 9, 2**20, 2**62])
 def test_row_slices_are_bounded(n):
-    slices = list(signed_perm._row_slices(n))
-    assert slices[0][0] == 0 and slices[-1][1] == n
-    assert all(a[1] == b[0] for a, b in zip(slices, slices[1:]))
-    assert len(slices) <= 64
-    # All but the last slice: a multiple of 8 rows and at least 2^12 of them.
-    assert all((hi - lo) % 8 == 0 and hi - lo >= 2**12 for lo, hi in slices[:-1])
-    if n <= 2**12:
-        assert slices == [(0, n)]
+    # The operators' least slice and the codec's.
+    for least in (2**12, 2**16):
+        slices = list(bitstring._row_slices(n, least))
+        assert slices[0][0] == 0 and slices[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(slices, slices[1:]))
+        assert len(slices) <= 64
+        # All but the last slice: a multiple of 8 rows and at least `least`.
+        assert all((hi - lo) % 8 == 0 and hi - lo >= least for lo, hi in slices[:-1])
+        if n <= least:
+            assert slices == [(0, n)]
 
 
 def assert_canonical(op):
@@ -377,7 +379,7 @@ def test_a_rule_wrong_in_its_last_row_fails_the_check(monkeypatch, check, rule):
     # Three full slices and a last one of 8 rows: the fault sits in the last
     # row of the last slice of every length the rule is evaluated at.
     L = 3 * 2**12 + 8
-    assert len(list(signed_perm._row_slices(L))) == 4
+    assert len(list(bitstring._row_slices(L, signed_perm._MIN_SLICE))) == 4
     assert check(L)
     right = getattr(signed_perm, rule)
 
