@@ -142,7 +142,8 @@ def test_index_rule_matches_the_block_form(name, L):
     assert np.array_equal(got_map, want_map) and np.array_equal(got_signs, want_signs)
     op = factory(L)
     assert np.array_equal(op.index_map, want_map) and np.array_equal(op.signs, want_signs)
-    for lo, hi in bitstring._row_slices(L, signed_perm._MIN_SLICE):  # a slice's rows give the same entries
+    # A slice's rows give the same entries.
+    for lo, hi in bitstring._row_slices(L, signed_perm._MIN_SLICE):
         part_map, part_signs = rule(np.arange(lo, hi, dtype=rows.dtype), L)
         assert np.array_equal(part_map, want_map[lo:hi])
         assert np.array_equal(part_signs, want_signs[lo:hi])
