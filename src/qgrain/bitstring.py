@@ -233,8 +233,8 @@ def _expanded(bits: np.ndarray, runs: np.ndarray, L: int) -> BitString:
     # The L-bit string of the given runs, expanded and packed a slice at a
     # time.  Slice [lo, hi) takes runs first .. last, from the first run that
     # ends past lo to the first that ends at or past hi, cut to the slice.
-    # Neither sort nor diff splits the run table: on first use each adds
-    # ~0.1 MB of RSS to a CLI call.
+    # The runs are cut per slice, not split once with sort and diff, whose
+    # first use adds ~0.1 MB each to a CLI call's peak RSS.
     slices = list(_row_slices(L, _CODEC_SLICE))
     ends = runs.cumsum()
     firsts = ends.searchsorted([lo for lo, _ in slices], "right").tolist()
@@ -279,9 +279,9 @@ def _decode_level(s: BitString, lengths: np.ndarray) -> tuple[np.ndarray, np.nda
         # so a level with more is refused before it holds them all.  A slice
         # without a change marks only the bounds in it.
         slices = list(_row_slices(L, _CODEC_SLICE))
-        at = bounds.searchsorted([lo for lo, _ in slices] + [L + 1]).tolist()
+        edges = bounds.searchsorted([lo for lo, _ in slices] + [L + 1]).tolist()
         parts, count = [], 0
-        for (lo, hi), i, j in zip(slices, at, at[1:]):
+        for (lo, hi), i, j in zip(slices, edges, edges[1:]):
             end = hi + (hi == L)
             changes = _changes(bits, lo, end)
             if changes.any():
