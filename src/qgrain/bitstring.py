@@ -13,12 +13,12 @@ is fixed to the identity here, and handled separately by
 ``equivalent_mod_xi``.
 
 One codec serves a single string and a level of a nested state, whose string
-concatenates one codeword per live (l > 0) segment: ``encode`` and ``decode``
-are its one-segment callers.  Encoding expands three runs per segment and
-packs them; decoding reads a level's sign changes off its packed bytes.  A
-string longer than 2^16 bits is coded a bounded slice of its bits at a time,
-so no temporary holds a byte per bit of a whole string.  No other module
-reads or writes the packed bytes.
+concatenates one codeword per segment, each at least one bit long: ``encode``
+and ``decode`` are its one-segment callers.  Encoding expands three runs per
+segment and packs them; decoding reads a level's sign changes off its packed
+bytes.  A string longer than 2^16 bits is coded a bounded slice of its bits
+at a time, so no temporary holds a byte per bit of a whole string.  No other
+module reads or writes the packed bytes.
 """
 
 from __future__ import annotations
@@ -253,44 +253,38 @@ def _expanded(bits: np.ndarray, runs: np.ndarray, L: int) -> BitString:
 
 
 def _decode_level(s: BitString, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (m, n) of the consecutive segments that tile s, of the given lengths;
-    # the inverse of _encode_levels, raising on a non-codeword.  A segment is
-    # a codeword iff at most 2 of its adjacent bit pairs differ: with the
-    # wrap-around pair that count is even, and it is at most 2 iff the +1s
-    # form one cyclic block.  The marks are the bits that differ from the bit
-    # before them, every segment bound and the slot past the end; after a
-    # segment's start they are its internal changes e1 < e2, then its end,
-    # which stands in for a missing one.  The runs between the marks alternate
-    # in sign, so the segment's first bit, read off the bytes, fixes them: if
-    # it is +1 the middle run [e1, e2) is -1 and the block starts at e2,
-    # otherwise the middle run is the block.  Segments with no internal
-    # change are degenerate and keep n = 0.  Live segments only.
+    # (m, n) of the consecutive segments that tile s, of the given lengths,
+    # all > 0; the inverse of _encode_levels, raising on a non-codeword.  A
+    # segment is a codeword iff at most 2 of its adjacent bit pairs differ:
+    # with the wrap-around pair that count is even, and it is at most 2 iff
+    # the +1s form one cyclic block.  The marks are the bits that differ from
+    # the bit before them, every segment bound and the slot past the end;
+    # after a segment's start they are its internal changes e1 < e2, then its
+    # end, which stands in for a missing one.  The runs between the marks
+    # alternate in sign, so the segment's first bit, read off the bytes, fixes
+    # them: if it is +1 the middle run [e1, e2) is -1 and the block starts at
+    # e2, otherwise the middle run is the block.  Segments with no internal
+    # change are degenerate and keep n = 0.
     bits = s._bits
-    live = (lengths > 0).nonzero()[0]
-    l = lengths[live]
-    bounds = np.zeros(live.size + 1, dtype=np.int64)
-    l.cumsum(out=bounds[1:])
+    bounds = np.zeros(lengths.size + 1, dtype=np.int64)
+    lengths.cumsum(out=bounds[1:])
     starts = bounds[:-1]
     L = int(bounds[-1])
     if L <= _CODEC_SLICE:
         marks = _marks(_changes(bits, 0, L + 1), L + 1, bounds)
     else:
         # A level of codewords has at most 3 marks per segment and its end,
-        # so a level with more is refused before it holds them all.  A slice
-        # without a change marks only the bounds in it.
+        # so a level with more is refused before it holds them all.  Slice
+        # [lo, hi) takes bounds i .. j - 1, and the last slice the end too.
         slices = list(_row_slices(L, _CODEC_SLICE))
         edges = bounds.searchsorted([lo for lo, _ in slices] + [L + 1]).tolist()
         parts, count = [], 0
         for (lo, hi), i, j in zip(slices, edges, edges[1:]):
             end = hi + (hi == L)
-            changes = _changes(bits, lo, end)
-            if changes.any():
-                part = _marks(changes, end - lo, bounds[i:j] - lo)
-                part += lo
-            else:
-                part = bounds[i:j]
+            part = _marks(_changes(bits, lo, end), end - lo, bounds[i:j] - lo)
+            part += lo
             count += part.size
-            if count > 3 * live.size + 1:
+            if count > 3 * lengths.size + 1:
                 raise NotCodewordError(_NOT_A_BLOCK)
             parts.append(part)
         marks = np.concatenate(parts)
@@ -303,11 +297,9 @@ def _decode_level(s: BitString, lengths: np.ndarray) -> tuple[np.ndarray, np.nda
     e2 = marks[np.minimum(first + 1, at[1:])]
     starts_plus = (bits[starts >> 3] << (starts & 7)) & 0x80
     middle = e2 - e1
-    m_live = np.where(starts_plus, l - middle, middle)
-    n_live = (starts - np.where(starts_plus, e2, e1) - (l >> 1)) % l
-    n_live[gaps == 1] = 0
-    m, n = np.zeros_like(lengths), np.zeros_like(lengths)
-    m[live], n[live] = m_live, n_live
+    m = np.where(starts_plus, lengths - middle, middle)
+    n = (starts - np.where(starts_plus, e2, e1) - (lengths >> 1)) % lengths
+    n[gaps == 1] = 0
     return m, n
 
 
@@ -327,9 +319,8 @@ def _changes(bits: np.ndarray, lo: int, end: int) -> np.ndarray:
 
 def _marks(changes: np.ndarray, count: int, at: np.ndarray) -> np.ndarray:
     # Offsets, in order, of the first count bits of the packed mask that are
-    # set or listed in at.  Only the mask is unpacked, as bool, like live's
-    # mask in _decode_level: numpy's nonzero is several times faster on bool
-    # than on integer arrays.
+    # set or listed in at.  Only the mask is unpacked, as bool: numpy's
+    # nonzero is several times faster on bool than on integer arrays.
     mask = np.unpackbits(changes, count=count).view(bool)
     mask[at] = True
     return mask.nonzero()[0]

@@ -170,12 +170,12 @@ def cmd_uncertainty(args: argparse.Namespace, cfg: RunConfig) -> Result:
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
     rng = np.random.default_rng(cfg.seed & ((1 << 64) - 1))
-    # Drawn and checked a bounded slice of samples at a time: normal() gives
-    # the same stream however the draws are split, and Direction refuses a
-    # NaN, so the count and the minimum do not depend on the slicing.
+    # Drawn and checked 4,096 samples at a time: normal() gives the same
+    # stream however the draws are split, and Direction refuses a NaN, so the
+    # count and the minimum do not depend on the slicing.
     satisfied, worst = 0, float("inf")
-    for lo, hi in bitstring._row_slices(args.samples, signed_perm._MIN_SLICE):
-        vecs = rng.normal(size=(hi - lo, 3))
+    for lo in range(0, args.samples, 4096):
+        vecs = rng.normal(size=(min(4096, args.samples - lo), 3))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
         lhs, rhs, ok = uncertainty_check(Direction(*vecs.T))
         satisfied += int(np.count_nonzero(ok))

@@ -226,10 +226,14 @@ def reduction_after(L0: int, t, c: PhysicalConstants = DEFAULT_CONSTANTS) -> int
     """Granularity left after elapsed time t: max(1, L0 - floor(t / t_P))."""
     if L0 < 1:
         raise ValueError(f"granularity L must be >= 1, got {L0}")
-    if t < 0:
-        raise ValueError("elapsed time must be non-negative")
-    with localcontext(_context(c.precision)):
-        ticks = int((t / c.t_P).to_integral_value(rounding="ROUND_FLOOR"))
+    try:
+        if t < 0:
+            raise ValueError("elapsed time must be non-negative")
+        with localcontext(_context(c.precision)):
+            ticks = math.floor(t / c.t_P)
+    except TypeError:
+        kind = type(c.t_P).__name__
+        raise ValueError(f"elapsed time must be an int or a {kind} as t_P is, got {t!r}") from None
     return max(1, L0 - ticks)
 
 

@@ -7,10 +7,12 @@ bits each: string d concatenates, in node order, one codeword per depth-d
 node, where a node's segment length equals the +1 count (m) or -1 count of
 its parent segment.  Zero-length segments are absent branches; length-1
 segments are classical bits (m in {0, 1}, n = 0).  The codec itself, for a
-level as for a single string, is ``bitstring``'s.  Decoding runs level by
-level: the codec gives a level's m and n, and its m give the next level's
-lengths.  Encoding walks the levels only for that length recurrence and hands
-the live (l > 0) segments to the codec once per family, in heap order.  The
+level as for a single string, is ``bitstring``'s, and it sees the live
+(l > 0) segments only: absent branches are this module's.  Decoding runs
+level by level: the codec gives the m and n of a level's live segments, the
+absent ones keep m = n = 0, and the level's m give the next level's lengths.
+Encoding walks the levels only for that length recurrence and hands the live
+segments to the codec once per family, in heap order.  The
 saturation sweep takes the exact state only on the quantised state's support:
 off it each overlap term is +-0 either way, so the fidelity is the same float.
 It runs one sample at a time and draws, decodes (``decode_nested``) and
@@ -225,7 +227,9 @@ def decode_nested(strings: Sequence[BitString]) -> NestedState:
     n = np.zeros(1 << len(strings), dtype=np.int64)
 
     def level_m(d: int, lengths: np.ndarray):
-        m, n[1 << (d - 1) : 1 << d] = _decode_level(strings[d - 1], lengths)
+        live = (lengths > 0).nonzero()[0]
+        m = np.zeros_like(lengths)
+        m[live], n[(1 << (d - 1)) + live] = _decode_level(strings[d - 1], lengths[live])
         return m
 
     m, lengths = _walk_levels(len(strings), L, level_m)

@@ -58,11 +58,6 @@ class DiscretisedQubit:
         """Squared amplitude of the |1> outcome, m/L."""
         return Fraction(self.m, self.L)
 
-    @property
-    def phase_fraction(self) -> Fraction:
-        """Phase as a fraction of a full turn, n/L."""
-        return Fraction(self.n, self.L)
-
 
 def theta_of(q: DiscretisedQubit) -> float:
     """Colatitude theta = 2*arccos(sqrt(m/L)), in [0, pi]."""

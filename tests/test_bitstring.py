@@ -1,5 +1,6 @@
 from fractions import Fraction
 from pathlib import Path
+import ast
 import itertools
 import math
 import re
@@ -143,6 +144,29 @@ def test_only_bitstring_reads_the_packed_format():
         if path.name != "bitstring.py"
         for number, line in enumerate(path.read_text().splitlines(), start=1)
         if pattern.search(line)
+    ]
+    assert hits == []
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    # cli.py calls the library through its public names only: no
+    # module._name attribute and no "from .x import _y".
+    package = Path(qgrain.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    tree = ast.parse((package / "cli.py").read_text())
+    hits = [
+        f"cli.py:{node.lineno}: {node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and node.attr.startswith("_")
+    ] + [
+        f"cli.py:{node.lineno}: from {'.' * node.level}{node.module} import {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("qgrain"))
+        for alias in node.names
+        if alias.name.startswith("_")
     ]
     assert hits == []
 

@@ -393,17 +393,19 @@ def test_uncertainty_full_sample(capsys):
 
 
 def test_uncertainty_memory_is_bounded_in_samples():
-    # Drawn in slices of at most 4096 samples: no (samples x 3) table.
-    argv = ["uncertainty", "--samples", "100000"]
-    with contextlib.redirect_stdout(io.StringIO()):
-        cli.main(argv)  # first-call allocations out of the way
-        tracemalloc.start()
-        try:
-            assert cli.main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak <= 2**20, f"uncertainty --samples 100000 peaked at {peak / 2**20:.2f} MiB"
+    # Drawn in slices of 4096 samples whatever the count: no (samples x 3)
+    # table, and no slice that widens with the count.
+    for samples in ("100000", "1000000"):
+        argv = ["uncertainty", "--samples", samples]
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)  # first-call allocations out of the way
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2**20, f"uncertainty --samples {samples} peaked at {peak / 2**20:.2f} MiB"
 
 
 def _peak_rss_mb(*argv: str) -> float:

@@ -183,6 +183,34 @@ def test_reduction_after_examples():
         reduction_after(5, Decimal(-1))
 
 
+def test_reduction_after_rational_constants():
+    # Off the Decimal path the floor of t / t_P is exact rational arithmetic.
+    t_P = RATIONAL_CONSTANTS.t_P
+    assert reduction_after(100, 0, RATIONAL_CONSTANTS) == 100
+    assert reduction_after(100, 10 * t_P, RATIONAL_CONSTANTS) == 90
+    assert reduction_after(100, 10 * t_P - Fraction(1, 10**90), RATIONAL_CONSTANTS) == 91
+    assert reduction_after(5, 10**6 * t_P, RATIONAL_CONSTANTS) == 1
+    with pytest.raises(ValueError, match="non-negative"):
+        reduction_after(5, Fraction(-1), RATIONAL_CONSTANTS)
+
+
+@pytest.mark.parametrize(
+    "t,constants",
+    [
+        (1e-30, DEFAULT_CONSTANTS),
+        (Fraction(1, 10**40), DEFAULT_CONSTANTS),
+        ("1e-30", DEFAULT_CONSTANTS),
+        (Decimal("1e-40"), RATIONAL_CONSTANTS),
+    ],
+    ids=["float", "fraction", "str", "decimal-with-fractions"],
+)
+def test_reduction_after_refuses_a_time_of_another_type(t, constants):
+    kind = type(constants.t_P).__name__
+    with pytest.raises(ValueError, match=f"^elapsed time must be an int or a {kind} ") as excinfo:
+        reduction_after(10**30, t, constants)
+    assert excinfo.type is ValueError
+
+
 def test_scenario_report_consistency():
     report = scenario_report(ELECTRON)
     assert report.tau_M == reduction_time(report.L)

@@ -234,6 +234,24 @@ def test_decode_nested_rejects_corrupt_middle_level_only():
         decode_nested(bad)
 
 
+@pytest.mark.parametrize(
+    "root,codeword,m,n",
+    [
+        ("++++", "--++", [0, 4, 2, 0], [0, 0, 0, 0]),  # cyc(iota(4, 2), 4/2 + 0)
+        ("----", "-++-", [0, 0, 0, 2], [0, 0, 0, 1]),  # cyc(iota(4, 2), 4/2 + 1)
+    ],
+)
+def test_decode_nested_codeword_check_next_to_an_absent_branch(root, codeword, m, n):
+    # One branch of the all-equal root is absent, so string 2 is the other
+    # branch's codeword alone: decode_nested, not the codec, places it.
+    with pytest.raises(NotCodewordError, match=NOT_CODEWORD):
+        decode_nested([from_text(root), from_text("+-+-")])
+    state = decode_nested([from_text(root), from_text(codeword)])
+    assert state.lengths.tolist() == [0, 4, m[1], 4 - m[1]]
+    assert state.m.tolist() == m
+    assert state.n.tolist() == n
+
+
 def test_decode_nested_length_mismatch_is_reported_first():
     strings, _ = encode_nested(_half_tree(2), 16)
     bad = [_corrupt(strings[0], 0, [1, -1] * 8), BitString([1, -1] * 4)]
@@ -348,17 +366,14 @@ def level_codewords(lengths, m, n):
 
 
 def assert_decode_matches_single_segment_codec(values, lengths):
-    # Oracle: the single-string codec on each segment of the +1/-1 values on
-    # its own; _decode_level reads the same level packed eight bits to a byte.
+    # Oracle: the single-string codec on each live segment of the +1/-1
+    # values on its own; _decode_level reads the same level packed eight bits
+    # to a byte, given the live lengths only, as decode_nested gives them.
+    live = lengths[lengths > 0]
     expected_m, expected_n = [], []
     failed = False
-    for start, length in zip(np.cumsum(lengths) - lengths, lengths):
-        piece = values[start : start + length]
-        if piece.size == 0:
-            expected_m.append(0)
-            expected_n.append(0)
-            continue
-        decoded = oracles.decode(piece)
+    for start, length in zip(np.cumsum(live) - live, live):
+        decoded = oracles.decode(values[start : start + length])
         if decoded is None:
             failed = True
             break
@@ -367,9 +382,9 @@ def assert_decode_matches_single_segment_codec(values, lengths):
     level = BitString(values)
     if failed:
         with pytest.raises(NotCodewordError, match=NOT_CODEWORD):
-            _decode_level(level, lengths)
+            _decode_level(level, live)
         return
-    m, n = _decode_level(level, lengths)
+    m, n = _decode_level(level, live)
     assert m.tolist() == expected_m
     assert n.tolist() == expected_n
 
