@@ -13,8 +13,8 @@ is fixed to the identity here, and handled separately by
 ``equivalent_mod_xi``.
 
 One codec serves a single string and a level of a nested state, whose string
-concatenates one codeword per segment, each at least one bit long: ``encode``
-and ``decode`` are its one-segment callers.  Encoding expands three runs per
+concatenates one codeword per segment, each at least one bit long: ``encode``,
+``decode`` and ``iota`` are its one-segment callers.  Encoding expands three runs per
 segment and packs them; decoding reads a level's sign changes off its packed
 bytes.  A string longer than 2^16 bits is coded a bounded slice of its bits
 at a time, so no temporary holds a byte per bit of a whole string.  No other
@@ -142,12 +142,9 @@ def iota(L: int, m: int) -> BitString:
         raise ValueError(f"string needs L in [1, 2^63) (int64 limit), got L={L}")
     if not 0 <= m <= L:
         raise ValueError(f"m must lie in [0, L={L}], got {m}")
-    bits = np.zeros(-(-L // 8), dtype=np.uint8)
-    whole, rest = divmod(m, 8)
-    bits[:whole] = 0xFF
-    if rest:
-        bits[whole] = 0xFF << (8 - rest) & 0xFF
-    return BitString._trusted(bits, L)
+    # The one-segment codeword's +1 block starts at -(L//2 + n) mod L: this n puts it at 0.
+    n = (L - L // 2) % L
+    return _encode_levels(L, np.array([L]), np.array([m]), np.array([n]), [0, 1])[0]
 
 
 def cyc(s: BitString, k: int) -> BitString:
@@ -171,10 +168,7 @@ def encode(q: DiscretisedQubit) -> BitString:
     The half-turn in the offset requires even L; odd-L grid states have no
     bit-string form.
     """
-    if q.L % 2:
-        raise ValueError(f"encoding requires even granularity, got L={q.L}")
-    if q.L >= 1 << 63:
-        raise ValueError(f"string needs L in [1, 2^63) (int64 limit), got L={q.L}")
+    _require_codec_length(q.L)
     return _encode_levels(q.L, np.array([q.L]), np.array([q.m]), np.array([q.n]), [0, 1])[0]
 
 
@@ -202,6 +196,12 @@ def decode(s: BitString) -> Decoded:
         raise NotCodewordError(f"{head} is not a cyclic shift of a contiguous +1 block") from None
     m = int(m[0])
     return Decoded(DiscretisedQubit(m, int(n[0]), L), m in (0, L))
+
+
+def _require_codec_length(L: int) -> None:
+    # Segment lengths are int64 and the codeword's offset halves L.
+    if not 2 <= L < 1 << 63 or L % 2:
+        raise ValueError(f"encoding needs even L in [2, 2^63) (int64 limit), got L={L}")
 
 
 def _encode_levels(

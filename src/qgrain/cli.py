@@ -266,14 +266,9 @@ def _merge_bits_value(argv: list[str]) -> list[str]:
     # "--bits --++" or "--cos -1/2" would be read as missing arguments;
     # fold such values into flag=value form.
     merged = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token in _LEADING_DASH_VALUE_FLAGS and i + 1 < len(argv):
-            merged.append(f"{token}={argv[i + 1]}")
-            skip = True
+    for token in argv:
+        if merged and merged[-1] in _LEADING_DASH_VALUE_FLAGS:
+            merged[-1] += f"={token}"
         else:
             merged.append(token)
     return merged

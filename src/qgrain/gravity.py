@@ -27,6 +27,7 @@ from decimal import (
 from typing import Optional
 
 from .nested import n_max
+from .qubit import _require_granularity
 
 _DEC_EXP_LIMIT = 10**6
 _CONSTANT_KEYS = ("G", "hbar", "t_P", "E_P")
@@ -198,7 +199,8 @@ def _effective_e_g(s: Scenario, c: PhysicalConstants):
         M_eff = s.qubit_multiplier * s.M
         R = s.R_override if s.R_override is not None else sn_radius(M_eff, c)
         beta = s.b / (2 * R)
-        if 100 * s.b <= R:
+        # The small-b formula assumes R = sn_radius: an overridden R takes the full one.
+        if s.R_override is None and 100 * s.b <= R:
             E_G = e_g_small_b(M_eff, s.b, c)
         else:
             E_G = e_g_full(M_eff, R, s.b, c)
@@ -216,24 +218,21 @@ def l_of_scenario(s: Scenario, c: PhysicalConstants = DEFAULT_CONSTANTS) -> int:
 
 def reduction_time(L: int, c: PhysicalConstants = DEFAULT_CONSTANTS) -> Decimal:
     """Time to reach the classical grid at one unit of L per Planck tick: (L - 1) t_P."""
-    if L < 1:
-        raise ValueError(f"granularity L must be >= 1, got {L}")
+    _require_granularity(L)
     with localcontext(_context(c.precision)):
         return (Decimal(L) - 1) * c.t_P
 
 
 def reduction_after(L0: int, t, c: PhysicalConstants = DEFAULT_CONSTANTS) -> int:
     """Granularity left after elapsed time t: max(1, L0 - floor(t / t_P))."""
-    if L0 < 1:
-        raise ValueError(f"granularity L must be >= 1, got {L0}")
-    try:
-        if t < 0:
-            raise ValueError("elapsed time must be non-negative")
-        with localcontext(_context(c.precision)):
-            ticks = math.floor(t / c.t_P)
-    except TypeError:
+    _require_granularity(L0)
+    if not isinstance(t, (int, type(c.t_P))):
         kind = type(c.t_P).__name__
-        raise ValueError(f"elapsed time must be an int or a {kind} as t_P is, got {t!r}") from None
+        raise ValueError(f"elapsed time must be an int or a {kind} as t_P is, got {t!r}")
+    if t < 0:
+        raise ValueError("elapsed time must be non-negative")
+    with localcontext(_context(c.precision)):
+        ticks = math.floor(t / c.t_P)
     return max(1, L0 - ticks)
 
 

@@ -34,8 +34,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .bitstring import BitString, _decode_level, _encode_levels
-from .qubit import TWO_PI
+from .bitstring import BitString, _decode_level, _encode_levels, _require_codec_length
+from .qubit import TWO_PI, _require_granularity
 
 _MASK64 = (1 << 64) - 1
 _MAX_DENSE_DEPTH = 24
@@ -51,8 +51,7 @@ def dof_count(N: int) -> int:
 
 def capacity_deficient(N: int, L: int) -> bool:
     """True iff N length-L strings cannot give each degree of freedom one bit."""
-    if L < 1:
-        raise ValueError(f"granularity L must be >= 1, got {L}")
+    _require_granularity(L)
     return dof_count(N) > L * N
 
 
@@ -64,8 +63,7 @@ def n_max(L: int) -> int:
     the interval 1..n_max, found by bisection below b + bit_length(b) + 1 (always
     deficient), b = bit_length(L).  Everything is exact big-int arithmetic.
     """
-    if L < 1:
-        raise ValueError(f"granularity L must be >= 1, got {L}")
+    _require_granularity(L)
     b = L.bit_length()
     lo, hi = 0, b + b.bit_length() + 1
     while hi - lo > 1:
@@ -183,15 +181,9 @@ def _walk_levels(depth: int, L: int, level_m):
     return m, lengths
 
 
-def _check_granularity(L: int) -> None:
-    # Segment lengths are int64 and the root codeword halves L.
-    if not 2 <= L < 1 << 63 or L % 2:
-        raise ValueError(f"encoding needs even L in [2, 2^63) (int64 limit), got L={L}")
-
-
 def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState]:
     """Quantise a depth-N tree at granularity L and emit its N strings."""
-    _check_granularity(L)
+    _require_codec_length(L)
     if not (np.isfinite(tree.thetas[1:]).all() and np.isfinite(tree.phis[1:]).all()):
         raise ValueError("angles must be finite at nodes 1 .. 2^depth - 1")
     # Vector form of qubit.quantise with the same half-down tie rule.  Slot 0
@@ -401,7 +393,7 @@ def saturation_experiment(
         )
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    _check_granularity(L)
+    _require_codec_length(L)
     spent = {} if timings is None else timings
     last = time.perf_counter()
 

@@ -33,6 +33,11 @@ def round_half_down(x) -> int:
     return math.ceil(x - Fraction(1, 2))
 
 
+def _require_granularity(L: int) -> None:
+    if L < 1:
+        raise ValueError(f"granularity L must be >= 1, got {L}")
+
+
 @dataclass(frozen=True)
 class DiscretisedQubit:
     """State indices (m, n) on the granularity-L grid.
@@ -47,8 +52,7 @@ class DiscretisedQubit:
     L: int
 
     def __post_init__(self):
-        if self.L < 1:
-            raise ValueError(f"granularity L must be >= 1, got {self.L}")
+        _require_granularity(self.L)
         if not 0 <= self.m <= self.L:
             raise ValueError(f"m must lie in [0, L={self.L}], got {self.m}")
         object.__setattr__(self, "n", self.n % self.L)
@@ -76,8 +80,7 @@ def quantise(theta: float, phi: float, L: int) -> DiscretisedQubit:
     the half-down tie rule.  phi is taken mod 2*pi.  Together with
     theta_of/phi_of this reproduces grid states exactly.
     """
-    if L < 1:
-        raise ValueError(f"granularity L must be >= 1, got {L}")
+    _require_granularity(L)
     weight = math.cos(theta / 2.0) ** 2
     m = round_half_down(L * weight)
     n = round_half_down(L * ((phi % TWO_PI) / TWO_PI)) % L
@@ -92,8 +95,7 @@ def coarsen(q: DiscretisedQubit, L_new: int) -> DiscretisedQubit:
     when L_new * m / L lands exactly on a half.  At L_new = 1 the result is
     the nearer measurement eigenstate.
     """
-    if L_new < 1:
-        raise ValueError(f"granularity L must be >= 1, got {L_new}")
+    _require_granularity(L_new)
     if L_new > q.L:
         raise ValueError(
             f"reduction only decreases granularity: L_new={L_new} > L={q.L}"

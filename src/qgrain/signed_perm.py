@@ -28,10 +28,8 @@ import numpy as np
 from .bitstring import BitString, _gathered, _row_slices, concat, cyc, equivalent_mod_xi, iota, negate
 
 
-# Entries per slice that SignedPermutation.__eq__ compares at a time.
-_EQ_CHUNK = 1 << 16
 # Least rows per slice (see bitstring._row_slices) in which operators are
-# applied and verified.
+# applied, compared and verified.
 _MIN_SLICE = 1 << 12
 
 
@@ -86,16 +84,16 @@ class SignedPermutation:
         return self._map.size
 
     def __eq__(self, other) -> bool:
-        # Compared a chunk at a time: np.array_equal of whole arrays would
+        # Compared a slice at a time: np.array_equal of whole arrays would
         # allocate an L-byte mask beside the operators.
         if not isinstance(other, SignedPermutation):
             return NotImplemented
         if len(self) != len(other):
             return False
         return all(
-            np.array_equal(a[lo : lo + _EQ_CHUNK], b[lo : lo + _EQ_CHUNK])
+            np.array_equal(a[lo:hi], b[lo:hi])
             for a, b in ((self._signs, other._signs), (self._map, other._map))
-            for lo in range(0, len(self), _EQ_CHUNK)
+            for lo, hi in _row_slices(len(self), _MIN_SLICE)
         )
 
     def __hash__(self) -> int:

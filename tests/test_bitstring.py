@@ -1,6 +1,7 @@
 from fractions import Fraction
 from pathlib import Path
 import ast
+import inspect
 import itertools
 import math
 import re
@@ -146,6 +147,31 @@ def test_only_bitstring_reads_the_packed_format():
         if pattern.search(line)
     ]
     assert hits == []
+
+
+def test_each_length_rule_has_one_owner():
+    # qubit.py states the grid's L >= 1 and bitstring.py the codec's even L;
+    # the other modules call their helpers.  Equality slices rows as every
+    # bounded loop does, and block patterns come from the one codeword writer.
+    sources = {path.name: path.read_text() for path in Path(qgrain.__file__).parent.glob("*.py")}
+    owners = {"granularity L must be >= 1": "qubit.py", "even L in [2, 2^63)": "bitstring.py"}
+    for text, owner in owners.items():
+        assert [(name, src.count(text)) for name, src in sources.items() if text in src] == [
+            (owner, 1)
+        ]
+    for retired in ("_check_granularity", "_EQ_CHUNK"):
+        assert [name for name, src in sources.items() if retired in src] == []
+    assert "_row_slices(" in inspect.getsource(SignedPermutation.__eq__)
+    writer = inspect.getsource(iota)
+    assert "_encode_levels(" in writer and not re.search(r"_trusted|packbits|0xFF|np\.zeros", writer)
+
+
+@pytest.mark.parametrize("L", [2**16 - 1, 2**16 + 1, 2**16 + 8, 3 * 2**16 + 5])
+def test_iota_matches_the_oracle_across_codec_slices(L):
+    for m in (0, 1, 2**16 - 1, 2**16, 2**16 + 3, L - 9, L):
+        m = min(m, L)
+        assert np.array_equal(iota(L, m).values, oracles.iota(L, m))
+        _assert_packed_canonically(iota(L, m))
 
 
 def test_cli_reads_no_private_name_of_another_module():

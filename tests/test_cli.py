@@ -41,7 +41,10 @@ def test_encode_odd_length_exits_2(capsys):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["encode", "--m", "1", "--n", "0", "--L", str(2**64)], "string needs L in [1, 2^63)"),
+        (
+            ["encode", "--m", "1", "--n", "0", "--L", str(2**64)],
+            "encoding needs even L in [2, 2^63)",
+        ),
         (["pauli-verify", "--L", str(2**64)], "operator needs L < 2^63"),
     ],
     ids=["encode", "pauli-verify"],

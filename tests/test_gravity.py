@@ -201,8 +201,9 @@ def test_reduction_after_rational_constants():
         (Fraction(1, 10**40), DEFAULT_CONSTANTS),
         ("1e-30", DEFAULT_CONSTANTS),
         (Decimal("1e-40"), RATIONAL_CONSTANTS),
+        (1e-20, RATIONAL_CONSTANTS),
     ],
-    ids=["float", "fraction", "str", "decimal-with-fractions"],
+    ids=["float", "fraction", "str", "decimal-with-fractions", "float-with-fractions"],
 )
 def test_reduction_after_refuses_a_time_of_another_type(t, constants):
     kind = type(constants.t_P).__name__
@@ -229,6 +230,20 @@ def test_scenario_report_r_override():
         Scenario(M=Decimal("1e-30"), b=Decimal("5e-9"), R_override=Decimal("1e30"))
     )
     assert custom.R == Decimal("1e30")
+
+
+@pytest.mark.parametrize(
+    "radius,e_g,n_max_",
+    [("1e-6", "8.327232E-70", 267), ("1e-8", "6.791622E-64", 247)],
+    ids=["100b<=R", "100b>R"],
+)
+def test_an_overridden_radius_takes_the_full_profile(radius, e_g, n_max_):
+    # The small-b formula assumes the Schroedinger-Newton radius, so with an
+    # override E_G is the full profile on either side of 100 b = R.
+    M, b, R = Decimal("1e-30"), Decimal("5e-9"), Decimal(radius)
+    report = scenario_report(Scenario(M=M, b=b, R_override=R))
+    assert report.E_G == e_g_full(M, R, b)
+    assert (f"{report.E_G:.6E}", report.n_max) == (e_g, n_max_)
 
 
 def test_precision_independence():

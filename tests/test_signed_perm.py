@@ -188,8 +188,8 @@ def test_built_operators_are_read_only_and_canonical(L):
 
 
 def test_equality_compares_every_chunk():
-    # Lengths past two chunks, differing only in the last entries.
-    L = 2 * signed_perm._EQ_CHUNK + 3
+    # Lengths past two slices, differing only in the last entries.
+    L = 2 * signed_perm._MIN_SLICE + 3
     one = np.ones(L, dtype=np.int8)
     flipped = one.copy()
     flipped[-1] = -1
