@@ -54,7 +54,7 @@ def cmd_capacity(args: argparse.Namespace, cfg: RunConfig) -> Result:
         M=_decimal(args.mass, "--mass"),
         b=_decimal(args.sep, "--sep"),
         qubit_multiplier=args.qubits,
-        R_override=_decimal(args.radius, "--radius") if args.radius else None,
+        R_override=_decimal(args.radius, "--radius") if args.radius is not None else None,
     )
     report = gravity.scenario_report(scenario, constants)
     doc = {

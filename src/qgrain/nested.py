@@ -12,13 +12,11 @@ level as for a single string, is ``bitstring``'s, and it sees the live
 level by level: the codec gives the m and n of a level's live segments, the
 absent ones keep m = n = 0, and the level's m give the next level's lengths.
 Encoding walks the levels only for that length recurrence and hands the live
-segments to the codec once per family, in heap order.  The
-saturation sweep takes the exact state only on the quantised state's support:
-off it each overlap term is +-0 either way, so the fidelity is the same float.
-It runs one sample at a time and draws, decodes (``decode_nested``) and
-expands each sample once, at the deepest N: a shallower tree is the heap
-prefix of the deeper one, its strings are the first strings of the deeper
-family, and its dense vector is an intermediate level of the deeper expansion.
+segments to the codec once per family, in heap order.  Dense amplitudes
+grow level by level, from the factors of the deepest level and of the levels
+above it in turn, never of the whole tree.  The saturation sweep draws,
+decodes and expands one sample at a time, once at the deepest N: a shallower
+tree is its heap prefix, with the first strings and an intermediate level.
 
 Capacity counting: the N strings hold L*N bits (stored in L*N/8 bytes)
 while the state has 2^(N+1) - 2 real degrees of freedom, which bounds the
@@ -75,6 +73,12 @@ def n_max(L: int) -> int:
     return lo
 
 
+def _heap_size(depth: int) -> int:
+    if depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    return 1 << depth
+
+
 @dataclass(frozen=True)
 class AngleTree:
     """Depth-N tree of continuum (theta, phi) pairs, heap-indexed from 1.
@@ -88,9 +92,7 @@ class AngleTree:
     phis: np.ndarray
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-        size = 1 << self.depth
+        size = _heap_size(self.depth)
         if self.thetas.shape != (size,) or self.phis.shape != (size,):
             raise ValueError(f"angle arrays must have shape ({size},)")
 
@@ -135,7 +137,7 @@ class NestedState:
     lengths: np.ndarray
 
     def __post_init__(self):
-        size = 1 << self.depth
+        size = _heap_size(self.depth)
         for name, arr in (("m", self.m), ("n", self.n), ("lengths", self.lengths)):
             if arr.shape != (size,):
                 raise ValueError(f"{name} must have shape ({size},)")
@@ -228,35 +230,36 @@ def decode_nested(strings: Sequence[BitString]) -> NestedState:
     return NestedState(len(strings), L, m, n, lengths)
 
 
-def _level_vectors(cos_half: np.ndarray, sin_half: np.ndarray, phase: np.ndarray):
-    # Yields the dense 2^d vectors for d = 1 .. depth of a product-form tree
-    # with 2^depth heap branch factors: the + child of node k multiplies by
-    # cos_half[k] and the - child by sin_half[k], then by phase[k].  Level
-    # d's vector is that of the tree cut at depth d.
+def _level_vectors(depth: int, factors):
+    # Yields the 2^d vector of the tree cut at depth d, d = 1 .. depth.  Node k's
+    # + child multiplies by cos_half[k - lo], its - child by sin_half[k - lo]
+    # and phase[k - lo], from factors(lo, hi) for nodes lo .. hi-1: one call for
+    # the levels above the deepest (fewer nodes than it), dropped before its own.
     vec = np.ones(1, dtype=np.complex128)
-    for d in range(1, cos_half.size.bit_length()):
-        lo, hi = 1 << (d - 1), 1 << d
-        nxt = np.empty(2 * vec.size, dtype=np.complex128)
-        np.multiply(vec, cos_half[lo:hi], out=nxt[0::2])
-        minus = np.multiply(vec, sin_half[lo:hi], out=nxt[1::2])
-        minus *= phase[lo:hi]
-        vec = nxt
-        yield vec
+    for lo, hi in ((1, 1 << (depth - 1)), (1 << (depth - 1), 1 << depth)):
+        cos_half, sin_half, phase = factors(lo, hi)
+        for d in range(lo.bit_length(), hi.bit_length()):
+            a, b = (1 << (d - 1)) - lo, (1 << d) - lo
+            nxt = np.empty(2 * vec.size, dtype=np.complex128)
+            np.multiply(vec, cos_half[a:b], out=nxt[0::2])
+            minus = np.multiply(vec, sin_half[a:b], out=nxt[1::2])
+            minus *= phase[a:b]
+            vec = nxt
+            yield vec
+        del cos_half, sin_half, phase
 
 
-def _expand(factors, *heaps: np.ndarray) -> np.ndarray:
-    # Dense 2^depth vector of a product-form tree; factors(*heaps) turns the
-    # tree's 2^depth heap arrays into its branch factors.
-    if heaps[0].size > 1 << _MAX_DENSE_DEPTH:
+def _expand(depth: int, factors) -> np.ndarray:
+    if depth > _MAX_DENSE_DEPTH:
         raise ValueError(f"dense amplitudes limited to depth {_MAX_DENSE_DEPTH}")
-    for vec in _level_vectors(*factors(*heaps)):
+    for vec in _level_vectors(depth, factors):
         pass
     return vec
 
 
-def _state_factors(m: np.ndarray, n: np.ndarray, lengths: np.ndarray):
-    # Branch factors of quantised heap arrays, computed at live nodes (l > 0)
-    # only; absent nodes give 0, and the phase is left at e^0 = 1 where n = 0.
+def _state_factors(state: NestedState, lo: int, hi: int):
+    # Quantised factors of nodes lo .. hi-1 at live (l > 0) nodes; 0 if absent, phase 1 if n = 0.
+    m, n, lengths = state.m[lo:hi], state.n[lo:hi], state.lengths[lo:hi]
     live = np.flatnonzero(lengths > 0)
     weight = m[live] / lengths[live]
     cos_half, sin_half = np.zeros(m.size), np.zeros(m.size)
@@ -268,9 +271,14 @@ def _state_factors(m: np.ndarray, n: np.ndarray, lengths: np.ndarray):
     return cos_half, sin_half, phase
 
 
-def _tree_factors(thetas: np.ndarray, phis: np.ndarray):
-    half = thetas / 2.0
-    return np.cos(half), np.sin(half), np.exp(1j * phis)
+def _tree_factors(tree: AngleTree, lo: int, hi: int, plus=slice(None), minus=slice(None)):
+    # Exact factors of nodes lo .. hi-1 at offsets plus (+) and minus (-), else 0.
+    thetas, phis = tree.thetas[lo:hi], tree.phis[lo:hi]
+    cos_half, sin_half, phase = np.zeros(hi - lo), np.zeros(hi - lo), np.zeros(hi - lo, complex)
+    cos_half[plus] = np.cos(thetas[plus] / 2.0)
+    sin_half[minus] = np.sin(thetas[minus] / 2.0)
+    phase[minus] = np.exp(1j * phis[minus])
+    return cos_half, sin_half, phase
 
 
 def amplitudes(state: NestedState) -> np.ndarray:
@@ -278,30 +286,26 @@ def amplitudes(state: NestedState) -> np.ndarray:
 
     Along the path to a basis index, a + branch multiplies by
     sqrt(m_k / l_k) and a - branch by sqrt(1 - m_k / l_k) * e^(2 pi i n_k / l_k);
-    absent branches (l_k = 0) contribute amplitude zero.
+    absent branches (l_k = 0) contribute amplitude zero.  Memory is the 2^N
+    result, the level above it and one level's factors; N > 24 is refused.
     """
-    return _expand(_state_factors, state.m, state.n, state.lengths)
+    return _expand(state.depth, lambda lo, hi: _state_factors(state, lo, hi))
 
 
 def amplitudes_of_tree(tree: AngleTree) -> np.ndarray:
     """Dense 2^N state vector of the continuum tree (the exact reference)."""
-    return _expand(_tree_factors, tree.thetas, tree.phis)
+    return _expand(tree.depth, lambda lo, hi: _tree_factors(tree, lo, hi))
 
 
 def _support_levels(tree: AngleTree, state: NestedState):
-    # Pairs of exact and quantised 2^d vectors of a tree and its decoded
-    # state, for d = 1 .. depth.  The exact factors are taken only where the
-    # quantised ones are nonzero (+ branch: m > 0, - branch: m < l), so the
-    # exact vector is 0 off the support.
-    m, lengths = state.m, state.lengths
-    plus, minus = np.flatnonzero(m > 0), np.flatnonzero(m < lengths)
-    cos_half, sin_half = np.zeros(m.size), np.zeros(m.size)
-    phase = np.zeros(m.size, dtype=np.complex128)
-    cos_half[plus] = np.cos(tree.thetas[plus] / 2.0)
-    sin_half[minus] = np.sin(tree.thetas[minus] / 2.0)
-    phase[minus] = np.exp(1j * tree.phis[minus])
-    exact = _level_vectors(cos_half, sin_half, phase)
-    return zip(exact, _level_vectors(*_state_factors(m, state.n, lengths)))
+    # Pairs of exact and quantised 2^d vectors for d = 1 .. depth, the exact
+    # factors kept where the quantised are nonzero (+: m > 0, -: m < l).
+    def exact_factors(lo: int, hi: int):
+        m, lengths = state.m[lo:hi], state.lengths[lo:hi]
+        return _tree_factors(tree, lo, hi, np.flatnonzero(m > 0), np.flatnonzero(m < lengths))
+
+    quantised = _level_vectors(state.depth, lambda lo, hi: _state_factors(state, lo, hi))
+    return zip(_level_vectors(state.depth, exact_factors), quantised)
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -373,19 +377,15 @@ def saturation_experiment(
     segment length encountered.  L must be even with 2 <= L < 2^63, as for
     ``encode_nested``; it is checked before anything is drawn.
 
-    Every cut is encoded alone, and each family is checked to be the prefix
-    of the next deeper one, so only the deepest family of a sample is decoded
-    (by ``decode_nested``) and expanded: the rows read their levels off that
-    one pass.  Samples run one at a time, so memory stays bounded by one
-    deepest tree plus the fidelity table (8 bytes per row and sample, which
-    the percentiles need whole).  The exact state's branch factors
-    are computed only where the quantised factor is nonzero and set to 0
-    elsewhere.  Where the quantised amplitude is exactly 0 each term of the
-    overlap is +-0 with or without that, and adding +-0 leaves the sum
-    unchanged (up to the sign of a zero, which |.| drops), so every fidelity
-    equals the dense reference's to the bit.
-    When ``timings`` is a dict, the wall seconds spent in each phase of
-    ``SATURATION_PHASES`` are added to it under the phase's name.
+    Every cut is encoded alone and checked to be the prefix of the next
+    deeper family, so only a sample's deepest family is decoded (by
+    ``decode_nested``) and expanded, and the rows read their levels off that
+    pass.  Memory is one deepest tree, its decoded heap arrays, two levels of
+    the exact and quantised vectors, one level's factors and the fidelity
+    table (8 bytes per row and sample).  Exact factors are kept only where the
+    quantised factor is nonzero: elsewhere each overlap term is +-0 either
+    way, so every fidelity equals the dense reference's to the bit.  A
+    ``timings`` dict gains the wall seconds of each ``SATURATION_PHASES`` phase.
     """
     if not 1 <= n_min <= n_max_arg <= _MAX_DENSE_DEPTH:
         raise ValueError(

@@ -8,7 +8,9 @@ producers build one int8 +1/-1 entry per bit, where the library packs eight
 bits to a byte; the single-string codec shifts and scans such an array, where
 the library runs its level kernels on one segment; the generator builders
 assemble each operator whole from its half-size blocks, where the library
-evaluates one index rule per row.
+evaluates one index rule per row; the amplitude expanders compute every
+branch factor of the tree as one heap array before the first level, where the
+library computes one level's factors at a time.
 """
 
 from __future__ import annotations
@@ -173,3 +175,55 @@ GENERATOR_PARTS = {
     "pauli_y": lambda L: block_parts(L, j_parts, (1, 0), (-1, 1)),
     "pauli_z": lambda L: block_parts(L, identity_parts, (0, 1), (1, -1)),
 }
+
+
+# Dense amplitudes from whole heap arrays of branch factors (slot 0 unused).
+
+
+def level_vectors(cos_half: np.ndarray, sin_half: np.ndarray, phase: np.ndarray) -> list:
+    """Dense 2^d vectors for d = 1 .. depth: the + child of node k multiplies
+    by cos_half[k], the - child by sin_half[k] and then by phase[k]."""
+    vec, levels = np.ones(1, dtype=np.complex128), []
+    for d in range(1, cos_half.size.bit_length()):
+        lo, hi = 1 << (d - 1), 1 << d
+        nxt = np.empty(2 * vec.size, dtype=np.complex128)
+        np.multiply(vec, cos_half[lo:hi], out=nxt[0::2])
+        minus = np.multiply(vec, sin_half[lo:hi], out=nxt[1::2])
+        minus *= phase[lo:hi]
+        vec = nxt
+        levels.append(vec)
+    return levels
+
+
+def state_factors(state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Quantised heap factors: sqrt(m/l), sqrt(1 - m/l), e^(2 pi i n/l) at
+    live nodes; 0, 0 and 1 at absent ones (l = 0), and phase 1 where n = 0."""
+    m, n, lengths = state.m, state.n, state.lengths
+    live = np.flatnonzero(lengths > 0)
+    weight = m[live] / lengths[live]
+    cos_half, sin_half = np.zeros(m.size), np.zeros(m.size)
+    cos_half[live] = np.sqrt(weight)
+    sin_half[live] = np.sqrt(1.0 - weight)
+    phase = np.ones(m.size, dtype=np.complex128)
+    turn = live[n[live] != 0]
+    phase[turn] = np.exp(2j * np.pi * (n[turn] / lengths[turn]))
+    return cos_half, sin_half, phase
+
+
+def tree_factors(tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact heap factors: cos(theta/2), sin(theta/2), e^(i phi)."""
+    half = tree.thetas / 2.0
+    return np.cos(half), np.sin(half), np.exp(1j * tree.phis)
+
+
+def support_factors(tree, state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact heap factors kept only where the quantised factor is nonzero
+    (+ branch: m > 0, - branch: m < l), 0 elsewhere."""
+    m, lengths = state.m, state.lengths
+    plus, minus = np.flatnonzero(m > 0), np.flatnonzero(m < lengths)
+    cos_half, sin_half = np.zeros(m.size), np.zeros(m.size)
+    phase = np.zeros(m.size, dtype=np.complex128)
+    cos_half[plus] = np.cos(tree.thetas[plus] / 2.0)
+    sin_half[minus] = np.sin(tree.thetas[minus] / 2.0)
+    phase[minus] = np.exp(1j * tree.phis[minus])
+    return cos_half, sin_half, phase

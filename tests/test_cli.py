@@ -122,6 +122,8 @@ def test_capacity_invalid_argument_exits_2(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run_cli(capsys, "capacity", "--mass", "bogus", "--sep", "5e-9")
     assert code == 2
+    code, out, err = run_cli(capsys, "capacity", "--mass", "1e-30", "--sep", "5e-9", "--radius", "")
+    assert (code, out) == (2, "") and "--radius must be a decimal number, got ''" in err
 
 
 @pytest.mark.parametrize(

@@ -826,6 +826,68 @@ def test_support_overlap_equals_dense_fidelity(depth, L, data):
     assert d == depth
 
 
+@given(st.integers(1, 10), st.sampled_from([2, 16, 4096]), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_level_expansion_equals_the_heap_factor_oracle(depth, L, seed, data):
+    # Hypothesis draws the pools, a seeded generator spreads them over the
+    # nodes: theta in {0, pi} cuts whole subtrees, most phases lie outside
+    # [0, 2pi).  Every level vector must equal the oracle's byte for byte.
+    angles = st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi))
+    phases = st.one_of(_OFF_TURN_PHASES, st.floats(0.0, TWO_PI, exclude_max=True))
+    thetas = data.draw(st.lists(angles, min_size=1, max_size=32))
+    phis = data.draw(st.lists(phases, min_size=1, max_size=32))
+    rng, size = np.random.default_rng(seed), 1 << depth
+    nodes = [np.r_[0.0, rng.choice(pool, size - 1)] for pool in (thetas, phis)]
+    tree = AngleTree(depth, *nodes)
+    state = decode_nested(encode_nested(tree, L)[0])
+    quantised = oracles.level_vectors(*oracles.state_factors(state))
+    exact = oracles.level_vectors(*oracles.support_factors(tree, state))
+    dense = oracles.level_vectors(*oracles.tree_factors(tree))
+    assert amplitudes(state).tobytes() == quantised[-1].tobytes()
+    assert amplitudes_of_tree(tree).tobytes() == dense[-1].tobytes()
+    pairs = list(nested._support_levels(tree, state))
+    assert [(e.tobytes(), q.tobytes()) for e, q in pairs] == [
+        (e.tobytes(), q.tobytes()) for e, q in zip(exact, quantised)
+    ]
+
+
+@pytest.mark.parametrize("of_tree", [False, True])
+def test_dense_amplitudes_memory_at_depth_16(of_tree):
+    # The deepest level's factors are built after the upper levels' are
+    # dropped, so the peak is the 2^16 vector (1 MiB), the level above it
+    # (0.5 MiB) and the deepest level's factors (1 MiB).  Three whole-tree
+    # factor arrays took it to 3.63 MiB.
+    tree = random_angle_tree(16, np.random.default_rng(0))
+    state = encode_nested(tree, 1 << 20)[1]
+    peak, vec = _traced_peak(lambda: amplitudes_of_tree(tree) if of_tree else amplitudes(state))
+    assert vec.shape == (1 << 16,)
+    assert peak < 3.0 * 2**20, f"dense amplitudes at depth 16 peaked at {peak / 2**20:.2f} MiB"
+
+
+def test_dense_amplitudes_beyond_depth_24_are_refused_before_allocating():
+    # Zero-stride views stand in for the 2^25-entry heap arrays.
+    size, L = 1 << 25, 4096
+    tree = AngleTree(25, np.broadcast_to(0.5, (size,)), np.broadcast_to(0.0, (size,)))
+    zeros, lengths = np.broadcast_to(np.int64(0), (size,)), np.broadcast_to(np.int64(L), (size,))
+    state = nested.NestedState(25, L, zeros, zeros, lengths)
+    for expand in (lambda: amplitudes_of_tree(tree), lambda: amplitudes(state)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dense amplitudes limited to depth 24"):
+                expand()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_nested_state_refuses_depth_below_one(depth):
+    one = np.zeros(1, dtype=np.int64)
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        nested.NestedState(depth, 0, one, one, one)
+
+
 def test_saturation_timings_cover_every_phase():
     timings = {"draw": 1.0}
     rows = saturation_experiment(64, 1, 3, 5, 2, timings=timings)
