@@ -10,7 +10,7 @@ the library runs its level kernels on one segment; the generator builders
 assemble each operator whole from its half-size blocks, where the library
 evaluates one index rule per row; the amplitude expanders compute every
 branch factor of the tree as one heap array before the first level, where the
-library computes one level's factors at a time.
+library computes those of the levels above the deepest, then the deepest's.
 """
 
 from __future__ import annotations
