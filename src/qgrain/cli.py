@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import Decimal, InvalidOperation, Overflow, Underflow
 from fractions import Fraction
 from typing import Optional
@@ -80,27 +80,14 @@ def cmd_capacity(args: argparse.Namespace, cfg: RunConfig) -> Result:
 
 def cmd_encode(args: argparse.Namespace, cfg: RunConfig) -> Result:
     q = DiscretisedQubit(args.m, args.n, args.L)
-    s = bitstring.encode(q)
-    doc = {
-        "command": "encode",
-        "m": q.m,
-        "n": q.n,
-        "L": q.L,
-        "bits": bitstring.to_text(s),
-    }
+    doc = {"command": "encode", **asdict(q), "bits": bitstring.to_text(bitstring.encode(q))}
     return True, doc, [doc["bits"]]
 
 
 def cmd_decode(args: argparse.Namespace, cfg: RunConfig) -> Result:
     decoded = bitstring.decode(bitstring.from_text(args.bits))
     q = decoded.qubit
-    doc = {
-        "command": "decode",
-        "m": q.m,
-        "n": q.n,
-        "L": q.L,
-        "degenerate": decoded.degenerate,
-    }
+    doc = {"command": "decode", **asdict(q), "degenerate": decoded.degenerate}
     text = f"m={q.m} n={q.n} L={q.L}"
     if decoded.degenerate:
         text += " (degenerate: phase unobservable)"
@@ -149,10 +136,7 @@ def cmd_saturate(args: argparse.Namespace, cfg: RunConfig) -> Result:
         "seed": cfg.seed,
         "rows": [row._asdict() for row in rows],
     }
-    csv = ["N,median_fidelity,p10_fidelity,min_segment_len"] + [
-        f"{row.N},{row.median_fidelity!r},{row.p10_fidelity!r},{row.min_segment_len}"
-        for row in rows
-    ]
+    csv = [",".join(nested.SaturationRow._fields)] + [",".join(map(repr, row)) for row in rows]
     return True, doc, csv
 
 
@@ -194,7 +178,7 @@ def cmd_uncertainty(args: argparse.Namespace, cfg: RunConfig) -> Result:
 
 def cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> Result:
     q = coarsen(DiscretisedQubit(args.m, args.n, args.L), args.to)
-    doc = {"command": "reduce", "m": q.m, "n": q.n, "L": q.L}
+    doc = {"command": "reduce", **asdict(q)}
     return True, doc, [f"m={q.m} n={q.n} L={q.L}"]
 
 
@@ -240,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument(
         "--timings", action="store_true",
-        help="print the wall time of each phase (draw, encode, decode, amplitudes, "
-        "fidelity) to stderr",
+        help=f"print the wall time of each phase ({', '.join(nested.SATURATION_PHASES)}) "
+        "to stderr",
     )
 
     p = command("niven", cmd_niven, "rational-cosine admissibility")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from decimal import (
     Context, Decimal, DivisionByZero, InvalidOperation, Overflow, Underflow, localcontext,
 )
@@ -256,17 +256,9 @@ class CapacityReport:
     n_max: int
 
     def to_dict(self) -> dict:
-        return {
-            "R": str(self.R),
-            "beta": str(self.beta),
-            "E_G": str(self.E_G),
-            "tau_DP": str(self.tau_DP),
-            "tau_M": str(self.tau_M),
-            "L": str(Decimal(self.L)),
-            "log10_L": self.log10_L,
-            "log2_L": self.log2_L,
-            "n_max": self.n_max,
-        }
+        # Exact values as str, L by way of Decimal (no int-to-str digit limit); the rest as is.
+        doc = {**asdict(self), "L": Decimal(self.L)}
+        return {k: str(v) if isinstance(v, Decimal) else v for k, v in doc.items()}
 
 
 def scenario_report(s: Scenario, c: PhysicalConstants = DEFAULT_CONSTANTS) -> CapacityReport:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -42,9 +42,7 @@ SATURATION_PHASES = ("draw", "encode", "decode", "amplitudes", "fidelity")
 
 def dof_count(N: int) -> int:
     """Real degrees of freedom of an N-qubit state: 2 + 4 + ... + 2^N = 2^(N+1) - 2."""
-    if N < 1:
-        raise ValueError(f"qubit count must be >= 1, got {N}")
-    return (1 << (N + 1)) - 2
+    return 2 * _heap_size(N) - 2
 
 
 def capacity_deficient(N: int, L: int) -> bool:
@@ -79,7 +77,14 @@ def _heap_size(depth: int) -> int:
     return 1 << depth
 
 
-@dataclass(frozen=True)
+def _fields_equal(self, other) -> bool:
+    # __eq__ of AngleTree and NestedState: field by field, arrays by value.
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
 class AngleTree:
     """Depth-N tree of continuum (theta, phi) pairs, heap-indexed from 1.
 
@@ -96,10 +101,12 @@ class AngleTree:
         if self.thetas.shape != (size,) or self.phis.shape != (size,):
             raise ValueError(f"angle arrays must have shape ({size},)")
 
+    __eq__ = _fields_equal
+
     @classmethod
     def from_nodes(cls, depth: int, pairs: Sequence[tuple[float, float]]) -> "AngleTree":
         """Build from (theta, phi) pairs listed for nodes 1 .. 2^depth - 1."""
-        size = 1 << depth
+        size = _heap_size(depth)
         if len(pairs) != size - 1:
             raise ValueError(f"need {size - 1} nodes for depth {depth}")
         thetas = np.zeros(size)
@@ -112,7 +119,7 @@ class AngleTree:
 
 def random_angle_tree(depth: int, rng: np.random.Generator) -> AngleTree:
     """Random tree with cos^2(theta/2) uniform on [0, 1] and phi uniform on [0, 2pi)."""
-    size = 1 << depth
+    size = _heap_size(depth)
     draws = rng.random((size - 1, 2))
     thetas = np.zeros(size)
     phis = np.zeros(size)
@@ -144,16 +151,7 @@ class NestedState:
         if self.lengths[1] != self.L:
             raise ValueError("root segment length must equal L")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NestedState):
-            return NotImplemented
-        return (
-            self.depth == other.depth
-            and self.L == other.L
-            and np.array_equal(self.m, other.m)
-            and np.array_equal(self.n, other.n)
-            and np.array_equal(self.lengths, other.lengths)
-        )
+    __eq__ = _fields_equal
 
     @property
     def degenerate_mask(self) -> np.ndarray:
@@ -249,9 +247,13 @@ def _level_vectors(depth: int, factors):
         del cos_half, sin_half, phase
 
 
-def _expand(depth: int, factors) -> np.ndarray:
+def _dense_depth(depth: int) -> int:
     if depth > _MAX_DENSE_DEPTH:
         raise ValueError(f"dense amplitudes limited to depth {_MAX_DENSE_DEPTH}")
+    return depth
+
+
+def _expand(depth: int, factors) -> np.ndarray:
     for vec in _level_vectors(depth, factors):
         pass
     return vec
@@ -287,14 +289,19 @@ def amplitudes(state: NestedState) -> np.ndarray:
     Along the path to a basis index, a + branch multiplies by
     sqrt(m_k / l_k) and a - branch by sqrt(1 - m_k / l_k) * e^(2 pi i n_k / l_k);
     absent branches (l_k = 0) contribute amplitude zero.  Memory is the 2^N
-    result, the level above it and one level's factors; N > 24 is refused.
+    result, the level above it and one level's factors.  N > 24 is refused, and
+    so is a state that breaks 0 <= m_k <= l_k or NestedState's length recurrence.
     """
+    m, l, half = state.m, state.lengths, 1 << (_dense_depth(state.depth) - 1)
+    if not (((0 <= m) & (m <= l))[1:].all() and np.array_equal(l[2::2], m[1:half])
+            and np.array_equal(l[3::2], l[1:half] - m[1:half])):
+        raise ValueError("amplitudes need 0 <= m_k <= l_k, l_2k = m_k and l_2k+1 = l_k - m_k")
     return _expand(state.depth, lambda lo, hi: _state_factors(state, lo, hi))
 
 
 def amplitudes_of_tree(tree: AngleTree) -> np.ndarray:
     """Dense 2^N state vector of the continuum tree (the exact reference)."""
-    return _expand(tree.depth, lambda lo, hi: _tree_factors(tree, lo, hi))
+    return _expand(_dense_depth(tree.depth), lambda lo, hi: _tree_factors(tree, lo, hi))
 
 
 def _support_levels(tree: AngleTree, state: NestedState):

@@ -150,16 +150,21 @@ def test_only_bitstring_reads_the_packed_format():
 
 
 def test_each_length_rule_has_one_owner():
-    # qubit.py states the grid's L >= 1 and bitstring.py the codec's even L;
-    # the other modules call their helpers.  Equality slices rows as every
-    # bounded loop does, and block patterns come from the one codeword writer.
+    # qubit.py states the grid's L >= 1, bitstring.py the codec's even L and
+    # nested.py the tree's depth >= 1 (dof_count's N too); the other modules
+    # call their helpers.  Equality slices rows as every bounded loop does, and
+    # block patterns come from the one codeword writer.
     sources = {path.name: path.read_text() for path in Path(qgrain.__file__).parent.glob("*.py")}
-    owners = {"granularity L must be >= 1": "qubit.py", "even L in [2, 2^63)": "bitstring.py"}
+    owners = {
+        "granularity L must be >= 1": "qubit.py",
+        "even L in [2, 2^63)": "bitstring.py",
+        "depth must be >= 1": "nested.py",
+    }
     for text, owner in owners.items():
         assert [(name, src.count(text)) for name, src in sources.items() if text in src] == [
             (owner, 1)
         ]
-    for retired in ("_check_granularity", "_EQ_CHUNK"):
+    for retired in ("_check_granularity", "_EQ_CHUNK", "qubit count must be"):
         assert [name for name, src in sources.items() if retired in src] == []
     assert "_row_slices(" in inspect.getsource(SignedPermutation.__eq__)
     writer = inspect.getsource(iota)

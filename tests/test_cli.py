@@ -517,6 +517,41 @@ def test_every_command_emits_versioned_json(capsys, argv):
     assert doc["command"] == argv[0]
 
 
+# sha256 of each README command's --format json stdout, with the sweep cut to
+# --L 64 --n 1..6 --samples 9, plus a capacity whose L has 5,364 digits, past
+# the 4,300-digit limit of int-to-str conversion.
+_JSON_SHA256 = {
+    "capacity --mass 1e-30 --sep 5e-9":
+        "88a413b0c36750c0b432b193c5a40bc8ca2c4a67b4839bae11f1eb9677b5544a",
+    "capacity --mass 1e-30 --sep 5e-9 --qubits 640":
+        "9d13ea1afe1551da9b324a018c588ab96f72740bdf092a3d0f1b983cc160636c",
+    "capacity --mass 1e-500 --sep 5e-9":
+        "103a9673e4be71fb25706528d1b9d5bdfdd0190bd627cbccf33dc7ba1a5823e7",
+    "encode --m 2 --n 0 --L 4":
+        "7aad46e62cc03d8ce39f4a1b40fb87cdc811236b2cae825d15fd7490497cfe6f",
+    "decode --bits --++":
+        "b1b00b57244c7d280ca1c2745a1e10be93b9dea3445f98f384b0c3a32dcab22a",
+    "pauli-verify --L 1048576":
+        "f60584004baa36ddad7ad6c408b3498a903c04ec92c9e28bc10e5902f0b3323b",
+    "saturate --L 64 --n 1..6 --samples 9 --seed 7":
+        "0c25820513cc6ab0eedfc006eda7cd980232ffbdd58766b616d6bb3a8519092d",
+    "niven --cos 1/2":
+        "9e3820d30844d85ed32d58fb35010bc9e9c6df86b3598b31bd3e614460e831f4",
+    "uncertainty --samples 100000 --seed 1":
+        "9a0021e6e14088c7f8555873c88dd8af3b5a2df89a630435c82264d46f8742a0",
+    "reduce --m 3 --n 5 --L 8 --to 1":
+        "ee9eb45d47a94900c62b94a8b3428e12d87854848b78b0f646ac1303eb17ac18",
+}
+
+
+@pytest.mark.parametrize("line", sorted(_JSON_SHA256))
+def test_json_documents_keep_their_bytes(capsys, monkeypatch, line):
+    monkeypatch.delenv("QGRAIN_CONSTANTS", raising=False)
+    code, out, err = run_cli(capsys, *line.split(), "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _JSON_SHA256[line], out
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "qgrain.cli", "niven", "--cos", "1/2"],

@@ -888,6 +888,19 @@ def test_nested_state_refuses_depth_below_one(depth):
         nested.NestedState(depth, 0, one, one, one)
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+def test_depth_rule_has_one_text(depth):
+    # N >= 1 for a qubit count is the same rule as depth >= 1 for a tree.
+    builds = (
+        lambda: dof_count(depth),
+        lambda: random_angle_tree(depth, np.random.default_rng(0)),
+        lambda: AngleTree.from_nodes(depth, []),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match=rf"^depth must be >= 1, got {depth}$"):
+            build()
+
+
 def test_saturation_timings_cover_every_phase():
     timings = {"draw": 1.0}
     rows = saturation_experiment(64, 1, 3, 5, 2, timings=timings)
@@ -935,3 +948,29 @@ def test_saturation_memory_on_the_wide_shape():
     # floor; the codec's temporaries are a slice's, not a level's.
     peak, _ = _traced_peak(lambda: saturation_experiment(1 << 20, 1, 4, 1, 0))
     assert peak <= 1.25 * 2**20, f"the (2^20, 1..4) sweep peaked at {peak / 2**20:.2f} MiB"
+
+
+def test_trees_compare_field_by_field_and_stay_unhashable():
+    tree, again = (random_angle_tree(3, np.random.default_rng(1)) for _ in range(2))
+    assert tree == again and not tree != again
+    bent = AngleTree(3, tree.thetas.copy(), tree.phis)
+    bent.thetas[5] += 1e-9
+    assert tree != bent and tree != random_angle_tree(2, np.random.default_rng(1))
+    state = encode_nested(tree, 64)[1]
+    assert state == decode_nested(encode_nested(again, 64)[0]) and state != tree
+    with pytest.raises(TypeError):
+        hash(tree)
+    with pytest.raises(TypeError):
+        hash(state)
+
+
+@pytest.mark.parametrize(
+    "depth,m,lengths",
+    [(1, [0, 5], [0, 4]), (2, [0, 3, 0, 0], [0, 4, 7, 1])],
+    ids=["m-above-l", "child-length"],
+)
+def test_amplitudes_refuse_a_state_off_the_length_rules(depth, m, lengths):
+    m, lengths = np.array(m), np.array(lengths)
+    state = nested.NestedState(depth, 4, m, np.zeros_like(m), lengths)
+    with pytest.raises(ValueError, match=r"0 <= m_k <= l_k, l_2k = m_k and l_2k\+1 = l_k - m_k"):
+        amplitudes(state)
