@@ -37,7 +37,6 @@ from .bitstring import (
     mean_var_exact,
     negate,
     to_text,
-    to_wire,
 )
 from .signed_perm import (
     SignedPermutation,

@@ -117,23 +117,12 @@ def _text(bits: np.ndarray, count: int) -> str:
 
 
 def from_text(text: str) -> BitString:
-    """Parse '+'/'-' text, with or without a 'L:' length header."""
-    if ":" in text:
-        head, _, body = text.partition(":")
-        length = int(head)
-        if length != len(body):
-            raise ValueError(f"length header {length} does not match body of {len(body)}")
-        text = body
+    """Parse text over '+' and '-'."""
     raw = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
     plus = raw == 43  # '+'; '-' is 45
     if not text or not np.all(plus | (raw == 45)):
         raise ValueError("bit-string text must be non-empty over '+' and '-'")
     return BitString._from_plus(plus)
-
-
-def to_wire(s: BitString) -> str:
-    """Serialise with the length header, e.g. '4:--++'."""
-    return f"{len(s)}:{to_text(s)}"
 
 
 def iota(L: int, m: int) -> BitString:

@@ -153,7 +153,7 @@ def cmd_niven(args: argparse.Namespace, cfg: RunConfig) -> Result:
 def cmd_uncertainty(args: argparse.Namespace, cfg: RunConfig) -> Result:
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
-    rng = np.random.default_rng(cfg.seed & ((1 << 64) - 1))
+    rng = np.random.default_rng(cfg.seed)
     # Drawn and checked 4,096 samples at a time: normal() gives the same
     # stream however the draws are split, and Direction refuses a NaN, so the
     # count and the minimum do not depend on the slicing.
@@ -182,6 +182,12 @@ def cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> Result:
     return True, doc, [f"m={q.m} n={q.n} L={q.L}"]
 
 
+def _seed(text: str) -> int:
+    if not 0 <= (seed := int(text)) < 1 << 64:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64), got {text}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qgrain",
@@ -192,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, summary, formats=("text", "json")):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--format", choices=formats, default="text", help="output format")
-        p.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
+        p.add_argument("--seed", type=_seed, default=0, help="experiment seed in [0, 2^64)")
         p.set_defaults(func=func)
         return p
 

@@ -35,7 +35,6 @@ import numpy as np
 from .bitstring import BitString, _decode_level, _encode_levels, _require_codec_length
 from .qubit import TWO_PI, _require_granularity
 
-_MASK64 = (1 << 64) - 1
 _MAX_DENSE_DEPTH = 24
 SATURATION_PHASES = ("draw", "encode", "decode", "amplitudes", "fidelity")
 
@@ -56,19 +55,18 @@ def n_max(L: int) -> int:
 
     The paper's N_max, the first N that is capacity-deficient, is
     n_max(L) + 1.  (2^(N+1) - 2)/N increases with N, so the feasible N form
-    the interval 1..n_max, found by bisection below b + bit_length(b) + 1 (always
-    deficient), b = bit_length(L).  Everything is exact big-int arithmetic.
+    the interval 1..n_max.  With b = bit_length(L) and c = bit_length(b),
+    N = b + c is deficient, since L <= 2^b - 1 and b + c <= 2^(c+1) - 1 give
+    L*(b + c) < 2^(b+c+1) - 2; for b >= 4, N = b + c - 3 is feasible, since
+    2^(N+1) = 2^(b-1) * 2^(c-1) <= L*b <= L*N.  So counting down from b + c - 1
+    tests at most three N (four when L < 8), in exact big-int arithmetic.
     """
     _require_granularity(L)
     b = L.bit_length()
-    lo, hi = 0, b + b.bit_length() + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if capacity_deficient(mid, L):
-            hi = mid
-        else:
-            lo = mid
-    return lo
+    N = b + b.bit_length() - 1
+    while N > 0 and capacity_deficient(N, L):
+        N -= 1
+    return N
 
 
 def _heap_size(depth: int) -> int:
@@ -102,19 +100,6 @@ class AngleTree:
             raise ValueError(f"angle arrays must have shape ({size},)")
 
     __eq__ = _fields_equal
-
-    @classmethod
-    def from_nodes(cls, depth: int, pairs: Sequence[tuple[float, float]]) -> "AngleTree":
-        """Build from (theta, phi) pairs listed for nodes 1 .. 2^depth - 1."""
-        size = _heap_size(depth)
-        if len(pairs) != size - 1:
-            raise ValueError(f"need {size - 1} nodes for depth {depth}")
-        thetas = np.zeros(size)
-        phis = np.zeros(size)
-        for k, (theta, phi) in enumerate(pairs, start=1):
-            thetas[k] = theta
-            phis[k] = phi
-        return cls(depth, thetas, phis)
 
 
 def random_angle_tree(depth: int, rng: np.random.Generator) -> AngleTree:
@@ -152,11 +137,6 @@ class NestedState:
             raise ValueError("root segment length must equal L")
 
     __eq__ = _fields_equal
-
-    @property
-    def degenerate_mask(self) -> np.ndarray:
-        """Boolean heap array marking nodes with m in {0, l} (l > 0)."""
-        return (self.lengths > 0) & ((self.m == 0) | (self.m == self.lengths))
 
     def level_slice(self, d: int) -> slice:
         return slice(1 << (d - 1), 1 << d)
@@ -377,7 +357,9 @@ def saturation_experiment(
     Each sample draws one random tree of depth n_max (sub-seed = seed XOR
     sample index, one fresh generator per sample, so the output is
     independent of evaluation order); row N uses its cut at depth N, which is
-    exactly the depth-N tree the same generator draws.  Each cut is quantised
+    exactly the depth-N tree the same generator draws.  The sub-seed reaches
+    numpy unmasked: numpy refuses a negative seed with a ValueError, and a
+    seed of 2^64 or more draws its own stream.  Each cut is quantised
     at granularity L and encoded, the strings are decoded back and the
     reconstructed state is compared against the exact state of the cut.
     Rows report the median and 10th-percentile fidelity plus the smallest
@@ -414,7 +396,7 @@ def saturation_experiment(
     fids = np.empty((len(depths), samples))
     min_seg = [L] * len(depths)
     for i in range(samples):
-        tree = random_angle_tree(n_max_arg, np.random.default_rng((seed ^ i) & _MASK64))
+        tree = random_angle_tree(n_max_arg, np.random.default_rng(seed ^ i))
         lap("draw")
         family = _encode_cuts(tree, L, n_min)
         lap("encode")

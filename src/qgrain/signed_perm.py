@@ -141,10 +141,6 @@ def compose(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:
 def _require_divisible(L: int, d: int) -> None:
     if L < d or L % d:
         raise ValueError(f"operator needs {d} | L, got L={L}")
-    _require_int64(L)
-
-
-def _require_int64(L: int) -> None:
     if L >= 1 << 63:
         raise ValueError(f"operator needs L < 2^63 (int64 limit), got L={L}")
 
@@ -163,9 +159,7 @@ def _operator(rule, L: int, d: int = 1) -> SignedPermutation:
     # are claimed first: from L = 2^60 an int64 map passes numpy's size limit
     # (a ValueError), while L < 2^63 bytes fail to allocate as the MemoryError
     # every other huge L gives.
-    if d > 1:
-        _require_divisible(L, d)
-    _require_int64(L)
+    _require_divisible(L, d)
     np.empty(L, dtype=np.int8)
     return SignedPermutation._trusted(*rule(np.arange(L, dtype=_map_dtype(L)), L))
 

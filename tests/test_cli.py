@@ -73,6 +73,12 @@ def test_decode_not_codeword_exits_2(capsys):
     assert "cyclic" in err
 
 
+def test_decode_refuses_a_length_header(capsys):
+    code, out, err = run_cli(capsys, "decode", "--bits", "4:--++")
+    assert (code, out) == (2, "")
+    assert err == "error: bit-string text must be non-empty over '+' and '-'\n"
+
+
 def test_decode_json(capsys):
     code, out, _ = run_cli(capsys, "decode", "--bits", "--++", "--format", "json")
     doc = json.loads(out)
@@ -486,6 +492,14 @@ def test_each_command_refuses_flags_it_does_not_read(capsys, tmp_path, command):
     assert run_cli(capsys, *_RUNS[command], "--seed", "3")[0] == 0
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "1.5"])
+@pytest.mark.parametrize("command", ["saturate", "uncertainty"])
+def test_seed_outside_64_bits_exits_2(capsys, command, seed):
+    code, out, err = run_cli(capsys, *_RUNS[command], "--seed", seed)
+    assert (code, out) == (2, "")
+    assert _error_lines(err) == 1 and "argument --seed:" in err
+
+
 def test_readme_cli_lines_parse():
     # Parse, do not run: the README's saturate sweep alone takes seconds.
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -519,7 +533,8 @@ def test_every_command_emits_versioned_json(capsys, argv):
 
 # sha256 of each README command's --format json stdout, with the sweep cut to
 # --L 64 --n 1..6 --samples 9, plus a capacity whose L has 5,364 digits, past
-# the 4,300-digit limit of int-to-str conversion.
+# the 4,300-digit limit of int-to-str conversion, and both seeded commands at
+# the largest seed, 2^64 - 1.
 _JSON_SHA256 = {
     "capacity --mass 1e-30 --sep 5e-9":
         "88a413b0c36750c0b432b193c5a40bc8ca2c4a67b4839bae11f1eb9677b5544a",
@@ -539,6 +554,10 @@ _JSON_SHA256 = {
         "9e3820d30844d85ed32d58fb35010bc9e9c6df86b3598b31bd3e614460e831f4",
     "uncertainty --samples 100000 --seed 1":
         "9a0021e6e14088c7f8555873c88dd8af3b5a2df89a630435c82264d46f8742a0",
+    f"saturate --L 64 --n 1..6 --samples 9 --seed {2**64 - 1}":
+        "cbad49ee429520f14380cd8f3dc29465c88ca27be79610225825ca6f3b40ab1d",
+    f"uncertainty --samples 100000 --seed {2**64 - 1}":
+        "b4f914f9a9af8e2bce914059fdeb67f2f1ad82959bb189dc68f5f3f85e80cf99",
     "reduce --m 3 --n 5 --L 8 --to 1":
         "ee9eb45d47a94900c62b94a8b3428e12d87854848b78b0f646ac1303eb17ac18",
 }

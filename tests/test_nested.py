@@ -79,13 +79,24 @@ def test_n_max_is_the_capacity_bound(L):
 
 
 def test_n_max_certificate_at_megabit_granularity():
-    # A scan over N would need ~2^20 steps of megabit arithmetic here.
+    # A scan up from N = 1 would need ~2^20 steps of megabit arithmetic here;
+    # n_max counts down from just above the answer.
     L = (1 << (1 << 20)) - 12345
     assert _is_capacity_bound(L, n_max(L))
 
 
+@given(st.one_of(st.integers(8, 1 << 4096), st.integers(3, 4096).map(lambda k: (1 << k) - 1)))
+def test_n_max_lies_within_three_of_its_bit_length_bound(L):
+    # With b = bit_length(L) >= 4 and c = bit_length(b), b + c - 3 is feasible
+    # and b + c deficient, so n_max's count down tests at most three N.
+    b = L.bit_length()
+    c = b.bit_length()
+    assert b + c - 3 <= n_max(L) <= b + c - 1
+
+
 def tree_from(depth, pairs):
-    return AngleTree.from_nodes(depth, pairs)
+    # (theta, phi) pairs for nodes 1 .. 2^depth - 1; slot 0 holds no node.
+    return AngleTree(depth, *np.array([(0.0, 0.0), *pairs]).T.copy())
 
 
 def test_encode_nested_single_qubit_matches_codec():
@@ -166,7 +177,6 @@ def test_nested_round_trip_degenerate_root():
     strings, state = encode_nested(tree, 8)
     assert state.m[1] == 8 and state.lengths[3] == 0
     assert state.n[1] == 0  # degenerate phase canonicalised
-    assert bool(state.degenerate_mask[1])
     assert decode_nested(strings) == state
     vec = amplitudes(state)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
@@ -180,7 +190,6 @@ def test_all_ones_family_degenerate():
     assert all(to_text(s) == "+" * 16 for s in strings)
     live = state.lengths > 0
     assert np.array_equal(state.m[live], state.lengths[live])
-    assert np.all(state.degenerate_mask[live])
     assert decode_nested(strings) == state
 
 
@@ -812,7 +821,7 @@ def test_support_overlap_equals_dense_fidelity(depth, L, data):
     thetas = data.draw(st.lists(cuts, min_size=leaves - 1, max_size=leaves - 1))
     thetas += data.draw(st.lists(st.floats(0.0, math.pi), min_size=leaves, max_size=leaves))
     phis = data.draw(st.lists(_OFF_TURN_PHASES, min_size=2 * leaves - 1, max_size=2 * leaves - 1))
-    tree = AngleTree.from_nodes(depth, list(zip(thetas, phis)))
+    tree = tree_from(depth, list(zip(thetas, phis)))
     strings, _ = encode_nested(tree, L)
     levels = nested._support_levels(tree, decode_nested(strings))
     for d, (exact, quantised) in enumerate(levels, 1):
@@ -894,7 +903,6 @@ def test_depth_rule_has_one_text(depth):
     builds = (
         lambda: dof_count(depth),
         lambda: random_angle_tree(depth, np.random.default_rng(0)),
-        lambda: AngleTree.from_nodes(depth, []),
     )
     for build in builds:
         with pytest.raises(ValueError, match=rf"^depth must be >= 1, got {depth}$"):

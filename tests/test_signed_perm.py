@@ -264,6 +264,14 @@ def test_operators_beyond_int64_are_refused(L):
         iota(L, 1)
 
 
+@pytest.mark.parametrize("L", [0, -1])
+@pytest.mark.parametrize("build", [identity_op, negation_op])
+def test_unit_operators_refuse_length_below_one(build, L):
+    # The generators' divisibility check, at d = 1, refuses L < 1 for these two.
+    with pytest.raises(ValueError, match=rf"^operator needs 1 \| L, got L={L}$"):
+        build(L)
+
+
 @given(st.integers(1, 32), st.data())
 def test_compose_of_random_public_operators_is_canonical(L, data):
     signs = st.lists(st.sampled_from([1, -1]), min_size=L, max_size=L)
