@@ -183,9 +183,13 @@ def cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> Result:
 
 
 def _seed(text: str) -> int:
-    if not 0 <= (seed := int(text)) < 1 << 64:
-        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64), got {text}")
-    return seed
+    # ArgumentTypeError, not int's ValueError: argparse would name this function.
+    try:
+        if 0 <= (seed := int(text)) < 1 << 64:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64), got {text}")
 
 
 def build_parser() -> argparse.ArgumentParser:

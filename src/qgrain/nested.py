@@ -166,14 +166,13 @@ def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState
     _require_codec_length(L)
     if not (np.isfinite(tree.thetas[1:]).all() and np.isfinite(tree.phis[1:]).all()):
         raise ValueError("angles must be finite at nodes 1 .. 2^depth - 1")
-    # Vector form of qubit.quantise with the same half-down tie rule.  Slot 0
+    # Vector form of qubit._on_grid, fed as qubit.quantise feeds it.  Slot 0
     # is no node, so the angle arithmetic starts at node 1.
     weight = np.cos(tree.thetas[1:] / 2.0) ** 2
 
     def level_m(d: int, lengths: np.ndarray):
         m = np.ceil(lengths * weight[(1 << (d - 1)) - 1 : (1 << d) - 1] - 0.5).astype(np.int64)
-        np.maximum(m, 0, out=m)
-        return np.minimum(m, lengths, out=m)
+        return np.minimum(m, lengths, out=m)  # float(l) may round up once l > 2^53
 
     m, lengths = _walk_levels(tree.depth, L, level_m)
     # np.mod returns phases in [0, 2pi) unchanged, so only the others pay for it.

@@ -4,6 +4,10 @@ A qubit state cos(theta/2)|1> + e^(i phi) sin(theta/2)|-1> is pinned to a
 granularity-L grid by two integers: a Born weight m with cos^2(theta/2) = m/L
 and a phase index n with phi = 2*pi*n/L.  Everything here is exact integer /
 rational arithmetic except the angle conversions themselves.
+
+quantise rounds floats, so it refuses L above 2^49, past which the round trip
+through theta_of and phi_of may miss a grid point; coarsen rounds the exact
+fractions m/L and n/L by the same rule, so it is exact at any L.
 """
 
 from __future__ import annotations
@@ -70,7 +74,23 @@ def theta_of(q: DiscretisedQubit) -> float:
 
 def phi_of(q: DiscretisedQubit) -> float:
     """Azimuthal phase 2*pi*n/L, in [0, 2*pi)."""
-    return TWO_PI * q.n / q.L
+    return TWO_PI * (q.n / q.L)  # int / int is correctly rounded at any size
+
+
+# Largest L that quantise accepts.  With / and sqrt correctly rounded and
+# acos and cos within 1 ulp, the round trip quantise(theta_of(q), phi_of(q), L)
+# lands within 5.25 * L * 2^-53 of m (each step's error taken at its binade,
+# peak near m/L = 0.77) and within 2.64 * L * 2^-53 of n (the two rounded
+# 2*pi cancel; n < L keeps phi below 2*pi).  Half-down rounding recovers both
+# while that is below 1/2: L < 2^53 / 10.5.  Up to 2^49 L is an exact
+# float, so L * weight <= L for any angle and m never exceeds L.
+_QUANTISE_MAX_L = 1 << 49
+
+
+def _on_grid(weight, turn, L: int) -> DiscretisedQubit:
+    """Round L * weight and L * turn (phase in turns) half-down; exact for
+    Fractions.  The constructor checks L and m and wraps n = L to 0."""
+    return DiscretisedQubit(round_half_down(L * weight), round_half_down(L * turn), L)
 
 
 def quantise(theta: float, phi: float, L: int) -> DiscretisedQubit:
@@ -78,13 +98,12 @@ def quantise(theta: float, phi: float, L: int) -> DiscretisedQubit:
 
     m = round(L * cos^2(theta/2)) and n = round(L * phi/2pi) mod L, both with
     the half-down tie rule.  phi is taken mod 2*pi.  Together with
-    theta_of/phi_of this reproduces grid states exactly.
+    theta_of/phi_of this reproduces grid states exactly.  L above 2^49 is
+    refused: a float cannot carry the round trip there.
     """
-    _require_granularity(L)
-    weight = math.cos(theta / 2.0) ** 2
-    m = round_half_down(L * weight)
-    n = round_half_down(L * ((phi % TWO_PI) / TWO_PI)) % L
-    return DiscretisedQubit(min(max(m, 0), L), n, L)
+    if L > _QUANTISE_MAX_L:
+        raise ValueError(f"quantise needs L <= 2^49 (float round-trip limit), got L={L}")
+    return _on_grid(math.cos(theta / 2.0) ** 2, (phi % TWO_PI) / TWO_PI, L)
 
 
 def coarsen(q: DiscretisedQubit, L_new: int) -> DiscretisedQubit:
@@ -92,17 +111,14 @@ def coarsen(q: DiscretisedQubit, L_new: int) -> DiscretisedQubit:
 
     Equivalent to quantise(theta_of(q), phi_of(q), L_new) but carried out in
     exact rational arithmetic, so the documented tie rule is honoured even
-    when L_new * m / L lands exactly on a half.  At L_new = 1 the result is
-    the nearer measurement eigenstate.
+    when L_new * m / L lands exactly on a half, and any L is accepted.  At
+    L_new = 1 the result is the nearer measurement eigenstate.
     """
-    _require_granularity(L_new)
     if L_new > q.L:
         raise ValueError(
             f"reduction only decreases granularity: L_new={L_new} > L={q.L}"
         )
-    m = round_half_down(Fraction(q.m * L_new, q.L))
-    n = round_half_down(Fraction(q.n * L_new, q.L)) % L_new
-    return DiscretisedQubit(m, n, L_new)
+    return _on_grid(q.born_weight, Fraction(q.n, q.L), L_new)
 
 
 def niven_admissible(c) -> bool:

@@ -140,7 +140,7 @@ def compose(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:
 
 def _require_divisible(L: int, d: int) -> None:
     if L < d or L % d:
-        raise ValueError(f"operator needs {d} | L, got L={L}")
+        raise ValueError(f"operator needs L a positive multiple of {d}, got L={L}")
     if L >= 1 << 63:
         raise ValueError(f"operator needs L < 2^63 (int64 limit), got L={L}")
 

@@ -30,7 +30,7 @@ from qgrain.bitstring import (
 )
 import qgrain
 from qgrain.nested import encode_nested, random_angle_tree
-from qgrain.qubit import DiscretisedQubit
+from qgrain.qubit import DiscretisedQubit, coarsen, quantise
 from qgrain.signed_perm import SignedPermutation, apply
 
 import oracles
@@ -166,6 +166,11 @@ def test_each_length_rule_has_one_owner():
     for retired in ("_check_granularity", "_EQ_CHUNK", "qubit count must be"):
         assert [name for name, src in sources.items() if retired in src] == []
     assert "_row_slices(" in inspect.getsource(SignedPermutation.__eq__)
+    # One grid-rounding rule: quantise and coarsen both hand it their inputs.
+    for caller in (quantise, coarsen):
+        body = inspect.getsource(caller)
+        assert "_on_grid(" in body
+        assert "round_half_down(" not in body and "_require_granularity(" not in body
     writer = inspect.getsource(iota)
     assert "_encode_levels(" in writer and not re.search(r"_trusted|packbits|0xFF|np\.zeros", writer)
 

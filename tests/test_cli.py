@@ -498,6 +498,7 @@ def test_seed_outside_64_bits_exits_2(capsys, command, seed):
     code, out, err = run_cli(capsys, *_RUNS[command], "--seed", seed)
     assert (code, out) == (2, "")
     assert _error_lines(err) == 1 and "argument --seed:" in err
+    assert "in [0, 2^64)" in err and "_seed" not in err
 
 
 def test_readme_cli_lines_parse():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -71,6 +72,38 @@ def test_quantise_round_trip_exact(L, data):
     assert quantise(theta_of(q), phi_of(q), L) == q
 
 
+@pytest.mark.parametrize("L", [2**49 + 1, 2**53, 2**1100], ids=["limit+1", "2^53", "2^1100"])
+def test_quantise_refuses_granularity_past_the_float_limit(L):
+    with pytest.raises(ValueError, match=r"^quantise needs L <= 2\^49 \(float round-trip limit\), got L="):
+        quantise(0.0, 0.0, L)
+
+
+@pytest.mark.parametrize("L", [2**49, 2**49 - 1, 2**49 - 3])
+def test_quantise_round_trip_exact_near_the_worst_cases_at_the_limit(L):
+    # Every m within K of the ends and binade edges of m/L and of 0.77 L (the
+    # peak of the error bound at qubit._QUANTISE_MAX_L), every n within K of
+    # both ends of the turn and its middle.
+    K = 64
+
+    def near(points, top):
+        return sorted({v for p in points for v in range(p - K, p + K + 1) if 0 <= v <= top})
+
+    ms = near((0, L // 4, L // 2, L * 77 // 100, 3 * L // 4, L), L)
+    ns = near((0, L // 2, L - 1), L - 1)
+    assert len(ms) > len(ns)  # so the zip below visits every n too
+    for m, n in zip(ms, itertools.cycle(ns)):
+        q = DiscretisedQubit(m, n, L)
+        assert quantise(theta_of(q), phi_of(q), L) == q
+
+
+def test_angles_of_states_past_the_float_range():
+    L = 2**1100
+    q = DiscretisedQubit(L // 4, L // 2, L)  # cos^2(theta/2) = 1/4, half a turn
+    assert theta_of(q) == pytest.approx(2 * math.pi / 3, abs=1e-15)
+    assert phi_of(q) == math.pi
+    assert phi_of(DiscretisedQubit(0, 0, L)) == 0.0
+
+
 @given(
     st.floats(0.0, math.pi, allow_nan=False),
     st.floats(0.0, 2 * math.pi, exclude_max=True, allow_nan=False),
@@ -135,6 +168,16 @@ def test_coarsen_matches_quantise_of_angles_off_ties():
                     if is_tie(m, L_new, L) or is_tie(n, L_new, L):
                         continue
                     assert coarsen(q, L_new) == quantise(theta_of(q), phi_of(q), L_new)
+
+
+def test_coarsen_is_exact_past_the_float_range():
+    L = 2**1100
+    # L_new * m / L = 2^1099 - 1/2 and 3/2: half-down ties in both coordinates.
+    q = DiscretisedQubit(L - 1, L - 1, L)
+    assert coarsen(q, L // 2) == DiscretisedQubit(L // 2 - 1, L // 2 - 1, L // 2)
+    assert coarsen(DiscretisedQubit(3, L // 2, L), L // 2) == DiscretisedQubit(1, L // 4, L // 2)
+    # 3 * (L - 1) / L rounds to 3, which the grid wraps to phase 0.
+    assert coarsen(DiscretisedQubit(L // 2, L - 1, L), 3) == DiscretisedQubit(1, 0, 3)
 
 
 def test_coarsen_eigenstate_endpoint():

@@ -265,10 +265,13 @@ def test_operators_beyond_int64_are_refused(L):
 
 
 @pytest.mark.parametrize("L", [0, -1])
-@pytest.mark.parametrize("build", [identity_op, negation_op])
+@pytest.mark.parametrize("build", [identity_op, negation_op, make_i])
 def test_unit_operators_refuse_length_below_one(build, L):
-    # The generators' divisibility check, at d = 1, refuses L < 1 for these two.
-    with pytest.raises(ValueError, match=rf"^operator needs 1 \| L, got L={L}$"):
+    # The divisibility check refuses every L that is not a positive multiple
+    # of d, including L = 0, which every d divides: d = 1 for the unit
+    # operators, d = 4 for i.
+    d = 4 if build is make_i else 1
+    with pytest.raises(ValueError, match=rf"^operator needs L a positive multiple of {d}, got L={L}$"):
         build(L)
 
 
