@@ -16,9 +16,9 @@ One codec serves a single string and a level of a nested state, whose string
 concatenates one codeword per segment, each at least one bit long: ``encode``,
 ``decode`` and ``iota`` are its one-segment callers.  Encoding expands three runs per
 segment and packs them; decoding reads a level's sign changes off its packed
-bytes.  A string longer than 2^16 bits is coded a bounded slice of its bits
-at a time, so no temporary holds a byte per bit of a whole string.  No other
-module reads or writes the packed bytes.
+bytes.  Every level is decoded slice by slice, and a level longer than 2^16
+bits is encoded so too, so no temporary holds a byte per bit of a whole
+string.  No other module reads or writes the packed bytes.
 """
 
 from __future__ import annotations
@@ -213,7 +213,7 @@ def _encode_levels(
     bits = np.array([[0, 1, 0], [1, 0, 1]], dtype=np.uint8).take(wrap, axis=0).ravel()
     runs = runs.ravel()
     spans = [(bits[3 * lo : 3 * hi], runs[3 * lo : 3 * hi]) for lo, hi in zip(cuts, cuts[1:])]
-    if L <= _CODEC_SLICE:
+    if L <= _CODEC_SLICE:  # one repeat: _expanded's bookkeeping costs more on short levels
         return [BitString._from_plus(np.repeat(b, r)) for b, r in spans]
     return [_expanded(b, r, L) for b, r in spans]
 
@@ -259,24 +259,21 @@ def _decode_level(s: BitString, lengths: np.ndarray) -> tuple[np.ndarray, np.nda
     lengths.cumsum(out=bounds[1:])
     starts = bounds[:-1]
     L = int(bounds[-1])
-    if L <= _CODEC_SLICE:
-        marks = _marks(_changes(bits, 0, L + 1), L + 1, bounds)
-    else:
-        # A level of codewords has at most 3 marks per segment and its end,
-        # so a level with more is refused before it holds them all.  Slice
-        # [lo, hi) takes bounds i .. j - 1, and the last slice the end too.
-        slices = list(_row_slices(L, _CODEC_SLICE))
-        edges = bounds.searchsorted([lo for lo, _ in slices] + [L + 1]).tolist()
-        parts, count = [], 0
-        for (lo, hi), i, j in zip(slices, edges, edges[1:]):
-            end = hi + (hi == L)
-            part = _marks(_changes(bits, lo, end), end - lo, bounds[i:j] - lo)
-            part += lo
-            count += part.size
-            if count > 3 * lengths.size + 1:
-                raise NotCodewordError(_NOT_A_BLOCK)
-            parts.append(part)
-        marks = np.concatenate(parts)
+    # A level of codewords has at most 3 marks per segment and its end, so a
+    # level with more is refused before it holds them all.  Slice [lo, hi)
+    # takes bounds i .. j - 1, and the last slice the end too.
+    slices = list(_row_slices(L, _CODEC_SLICE))
+    edges = bounds.searchsorted([lo for lo, _ in slices] + [L + 1]).tolist()
+    parts, count = [], 0
+    for (lo, hi), i, j in zip(slices, edges, edges[1:]):
+        end = hi + (hi == L)
+        part = _marks(_changes(bits, lo, end), end - lo, bounds[i:j] - lo)
+        part += lo
+        count += part.size
+        if count > 3 * lengths.size + 1:
+            raise NotCodewordError(_NOT_A_BLOCK)
+        parts.append(part)
+    marks = np.concatenate(parts)
     at = np.searchsorted(marks, bounds)
     gaps = at[1:] - at[:-1]  # internal changes + 1
     if gaps.max() > 3:
@@ -316,9 +313,9 @@ def _marks(changes: np.ndarray, count: int, at: np.ndarray) -> np.ndarray:
 
 
 _MAX_SLICES = 64
-# The codec's least slice: a level of up to 2^16 bits runs whole, and a
-# longer one in at most 64 slices of at least 2^16 bits, whose bookkeeping
-# stays small next to their per-bit work.
+# The codec's least slice: a level of up to 2^16 bits is one slice (and is
+# encoded whole), and a longer one at most 64 slices of at least 2^16 bits,
+# whose bookkeeping stays small next to their per-bit work.
 _CODEC_SLICE = 1 << 16
 
 

@@ -211,9 +211,8 @@ def l_of_scenario(s: Scenario, c: PhysicalConstants = DEFAULT_CONSTANTS) -> int:
     """Granularity L = ceil(E_P / E_G) for the scenario; L = 1 once E_G >= E_P."""
     with localcontext(_context(c.precision)):
         _, _, E_G = _effective_e_g(s, c)
-        if E_G >= c.E_P:
-            return 1
-        return math.ceil(c.E_P / E_G)
+        # min: E_G >= E_P gives 1, also where E_P / E_G would underflow (trapped).
+        return math.ceil(c.E_P / min(E_G, c.E_P))
 
 
 def reduction_time(L: int, c: PhysicalConstants = DEFAULT_CONSTANTS) -> Decimal:

@@ -317,8 +317,7 @@ def _encode_cuts(tree: AngleTree, L: int, n_min: int) -> list[BitString]:
     # lengths, m and n depend only on its own and the shallower strings.
     shallower = None
     for N in range(n_min, tree.depth + 1):
-        cut = tree if N == tree.depth else AngleTree(N, tree.thetas[: 1 << N], tree.phis[: 1 << N])
-        family = encode_nested(cut, L)[0]
+        family = encode_nested(AngleTree(N, tree.thetas[: 1 << N], tree.phis[: 1 << N]), L)[0]
         if shallower is not None and family[: N - 1] != shallower:
             raise RuntimeError(f"depth-{N - 1} strings are not a prefix of the depth-{N} strings")
         shallower = family

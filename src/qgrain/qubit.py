@@ -74,7 +74,8 @@ def theta_of(q: DiscretisedQubit) -> float:
 
 def phi_of(q: DiscretisedQubit) -> float:
     """Azimuthal phase 2*pi*n/L, in [0, 2*pi)."""
-    return TWO_PI * (q.n / q.L)  # int / int is correctly rounded at any size
+    # n / L is correctly rounded at any size, but past 2^53 may reach 1.0: % maps 2*pi to 0.
+    return TWO_PI * (q.n / q.L) % TWO_PI
 
 
 # Largest L that quantise accepts.  With / and sqrt correctly rounded and

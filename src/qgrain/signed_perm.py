@@ -192,7 +192,7 @@ def _blocks_at(rows, L: int, block, columns, signs) -> tuple[np.ndarray, np.ndar
     else:  # off-diagonal
         index_map -= offset
         index_map += h
-    if signs != (1, 1):
+    if signs != (1, 1):  # the skip pays: a multiply per row at every recursion step
         factor = np.multiply(upper, signs[1] - signs[0], dtype=np.int8)
         factor += signs[0]
         out_signs *= factor

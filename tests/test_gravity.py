@@ -163,6 +163,11 @@ def test_l_of_scenario_composite_640():
 def test_l_of_scenario_classical_limit():
     # a kilogram-scale mass has E_G far above E_P in the wide-separation branch
     assert l_of_scenario(Scenario(M=Decimal(1), b=Decimal(1))) == 1
+    # exactly, too: the ceiling of a ratio in (0, 1] is 1
+    assert l_of_scenario(Scenario(M=Fraction(1), b=Fraction(1)), RATIONAL_CONSTANTS) == 1
+    # and where E_P / E_G would fall below the decimal exponent range
+    tiny_planck = PhysicalConstants(E_P=Decimal("1e-999990"))
+    assert l_of_scenario(Scenario(M=Decimal(1), b=Decimal(1)), tiny_planck) == 1
 
 
 def test_reduction_time_examples():

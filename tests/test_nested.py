@@ -450,18 +450,26 @@ def test_decode_level_matches_single_segment_codec(segs, data):
     assert_decode_matches_single_segment_codec(values, lengths)
 
 
-# Levels the codec takes in slices: 2^16 * k + r bits in all, k >= 1, so the
-# slices are 2^16 bits long and the last one r bits when r > 0.  Segment
-# bounds, block starts and block ends are drawn either anywhere or within a
-# few bits of a slice bound.
+# Levels that the codec decodes slice by slice: either one slice of 2 to 2^16
+# bits, or 2^16 * k + r bits in all, k >= 1, so the slices are 2^16 bits long
+# and the last one r bits when r > 0.  Segment bounds, block starts and block
+# ends are drawn either anywhere or within a few bits of a slice bound (of the
+# level's end when it is one slice).
 SLICE = 1 << 16
+
+
+def slice_bounds(total):
+    return range(SLICE, total + 1, SLICE) or [total]
 
 
 @st.composite
 def sliced_levels(draw):
-    k, r = draw(st.integers(1, 3)), draw(st.sampled_from([0, 2, 4, 6]))
-    total = k * SLICE + r
-    near = st.sampled_from(range(SLICE, total + 1, SLICE)).flatmap(
+    if draw(st.booleans()):
+        total = draw(st.one_of(st.just(SLICE), st.integers(2, SLICE)))
+    else:
+        k, r = draw(st.integers(1, 3)), draw(st.sampled_from([0, 2, 4, 6]))
+        total = k * SLICE + r
+    near = st.sampled_from(slice_bounds(total)).flatmap(
         lambda b: st.integers(b - 9, b + 9)
     )
     place = st.one_of(near, st.integers(0, total))
@@ -495,8 +503,8 @@ def test_sliced_level_codec_matches_single_segment_codec(level, data):
     # Non-codewords: up to two flips, each within a few bits either side of a
     # slice bound or anywhere, or a level of arbitrary bits.
     flip = st.one_of(
-        st.sampled_from(range(SLICE, total + 1, SLICE)).flatmap(
-            lambda b: st.integers(b - 4, min(b + 3, total - 1))
+        st.sampled_from(slice_bounds(total)).flatmap(
+            lambda b: st.integers(max(b - 4, 0), min(b + 3, total - 1))
         ),
         st.integers(0, total - 1),
     )

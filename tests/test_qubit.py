@@ -102,6 +102,9 @@ def test_angles_of_states_past_the_float_range():
     assert theta_of(q) == pytest.approx(2 * math.pi / 3, abs=1e-15)
     assert phi_of(q) == math.pi
     assert phi_of(DiscretisedQubit(0, 0, L)) == 0.0
+    # n/L rounds to 1.0 past 2^53: the last grid point's phase is 0, not 2*pi
+    assert phi_of(DiscretisedQubit(0, L - 1, L)) == 0.0
+    assert phi_of(DiscretisedQubit(0, 2**60 - 1, 2**60)) == 0.0
 
 
 @given(
