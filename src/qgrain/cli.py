@@ -6,12 +6,12 @@ text_lines)`` and prints nothing to stdout; ``main`` is its only writer, and
 ``saturate --timings`` writes per-phase wall times to stderr.  Each
 subcommand takes ``--format``, ``--seed`` and the flags it reads; the parser,
 not ``main``, exits 2 on any other flag and on ``--format csv`` outside
-saturate.  ``main`` builds the RunConfig and prints ``doc`` with a
-schema_version field (--format json) or the text lines (text, or csv for
-saturate).  Output is a pure function of the arguments and, for capacity, of
-the constants file that ``--constants`` or else ``QGRAIN_CONSTANTS`` names.
-Exit codes: 0 success, 1 verified-property failure (``ok`` false), 2 usage
-or precondition error.
+saturate.  ``main`` builds the RunConfig and prints ``doc`` after the
+schema_version and command fields it alone writes (--format json), or the
+text lines (text, or csv for saturate).  Output is a pure function of the
+arguments and, for capacity, of the constants file that ``--constants`` or
+else ``QGRAIN_CONSTANTS`` names.  Exit codes: 0 success, 1 verified-property
+failure (``ok`` false), 2 usage or precondition error.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ def cmd_capacity(args: argparse.Namespace, cfg: RunConfig) -> Result:
     )
     report = gravity.scenario_report(scenario, constants)
     doc = {
-        "command": "capacity",
         "mass": str(scenario.M),
         "separation": str(scenario.b),
         "qubit_multiplier": scenario.qubit_multiplier,
@@ -80,14 +79,14 @@ def cmd_capacity(args: argparse.Namespace, cfg: RunConfig) -> Result:
 
 def cmd_encode(args: argparse.Namespace, cfg: RunConfig) -> Result:
     q = DiscretisedQubit(args.m, args.n, args.L)
-    doc = {"command": "encode", **asdict(q), "bits": bitstring.to_text(bitstring.encode(q))}
+    doc = {**asdict(q), "bits": bitstring.to_text(bitstring.encode(q))}
     return True, doc, [doc["bits"]]
 
 
 def cmd_decode(args: argparse.Namespace, cfg: RunConfig) -> Result:
     decoded = bitstring.decode(bitstring.from_text(args.bits))
     q = decoded.qubit
-    doc = {"command": "decode", **asdict(q), "degenerate": decoded.degenerate}
+    doc = {**asdict(q), "degenerate": decoded.degenerate}
     text = f"m={q.m} n={q.n} L={q.L}"
     if decoded.degenerate:
         text += " (degenerate: phase unobservable)"
@@ -101,7 +100,7 @@ def cmd_pauli_verify(args: argparse.Namespace, cfg: RunConfig) -> Result:
     split = signed_perm.self_similar_split(L) if L % 8 == 0 else None
     checks = {"quaternion": quaternion, "spin": spin, "split": split}
     all_pass = all(v for v in checks.values() if v is not None)
-    doc = {"command": "pauli-verify", "L": L, **checks, "all_pass": all_pass}
+    doc = {"L": L, **checks, "all_pass": all_pass}
     text = [
         f"L = {L}",
         f"quaternion identities: {'pass' if quaternion else 'FAIL'}",
@@ -112,16 +111,8 @@ def cmd_pauli_verify(args: argparse.Namespace, cfg: RunConfig) -> Result:
     return all_pass, doc, text
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return int(lo), int(hi)
-    single = int(text)
-    return single, single
-
-
 def cmd_saturate(args: argparse.Namespace, cfg: RunConfig) -> Result:
-    n_lo, n_hi = _parse_range(args.n)
+    n_lo, n_hi = args.n
     timings = {} if args.timings else None
     rows = nested.saturation_experiment(
         args.L, n_lo, n_hi, args.samples, cfg.seed, timings=timings
@@ -130,7 +121,6 @@ def cmd_saturate(args: argparse.Namespace, cfg: RunConfig) -> Result:
         for phase in nested.SATURATION_PHASES:
             print(f"timing {phase:<10} {timings[phase]:.6f} s", file=sys.stderr)
     doc = {
-        "command": "saturate",
         "L": args.L,
         "samples": args.samples,
         "seed": cfg.seed,
@@ -146,7 +136,7 @@ def cmd_niven(args: argparse.Namespace, cfg: RunConfig) -> Result:
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--cos must be a rational like 1/2, got {args.cos!r}")
     admissible = niven_admissible(c)
-    doc = {"command": "niven", "cos": str(c), "admissible": admissible}
+    doc = {"cos": str(c), "admissible": admissible}
     return True, doc, ["admissible" if admissible else "not admissible"]
 
 
@@ -166,7 +156,6 @@ def cmd_uncertainty(args: argparse.Namespace, cfg: RunConfig) -> Result:
         worst = min(worst, float(np.min(lhs - rhs)))
     all_ok = satisfied == args.samples
     doc = {
-        "command": "uncertainty",
         "samples": args.samples,
         "seed": cfg.seed,
         "satisfied": satisfied,
@@ -178,7 +167,7 @@ def cmd_uncertainty(args: argparse.Namespace, cfg: RunConfig) -> Result:
 
 def cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> Result:
     q = coarsen(DiscretisedQubit(args.m, args.n, args.L), args.to)
-    doc = {"command": "reduce", **asdict(q)}
+    doc = asdict(q)
     return True, doc, [f"m={q.m} n={q.n} L={q.L}"]
 
 
@@ -190,6 +179,14 @@ def _seed(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64), got {text}")
+
+
+def _qubit_range(text: str) -> tuple[int, int]:
+    lo, dots, hi = text.partition("..")
+    try:
+        return int(lo), int(hi if dots else lo)
+    except ValueError:  # ArgumentTypeError, as in _seed
+        raise argparse.ArgumentTypeError(f"must be N or LO..HI, got {text}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -230,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("saturate", cmd_saturate, "fidelity saturation sweep", ("text", "json", "csv"))
     p.add_argument("--L", type=int, required=True)
-    p.add_argument("--n", required=True, help="qubit range, e.g. 1..14")
+    p.add_argument("--n", type=_qubit_range, required=True, help="qubit range, e.g. 1..14")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument(
         "--timings", action="store_true",
@@ -280,7 +277,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = RunConfig(args.format, args.seed)
         ok, doc, text_lines = args.func(args, cfg)
         if cfg.fmt == "json":
-            print(json.dumps({"schema_version": SCHEMA_VERSION, **doc}))
+            print(json.dumps({"schema_version": SCHEMA_VERSION, "command": args.command, **doc}))
         else:
             for line in text_lines:
                 print(line)

@@ -215,7 +215,7 @@ def l_of_scenario(s: Scenario, c: PhysicalConstants = DEFAULT_CONSTANTS) -> int:
         return math.ceil(c.E_P / min(E_G, c.E_P))
 
 
-def reduction_time(L: int, c: PhysicalConstants = DEFAULT_CONSTANTS) -> Decimal:
+def reduction_time(L: int | Decimal, c: PhysicalConstants = DEFAULT_CONSTANTS) -> Decimal:
     """Time to reach the classical grid at one unit of L per Planck tick: (L - 1) t_P."""
     _require_granularity(L)
     with localcontext(_context(c.precision)):
@@ -272,7 +272,7 @@ def scenario_report(s: Scenario, c: PhysicalConstants = DEFAULT_CONSTANTS) -> Ca
             beta=beta,
             E_G=E_G,
             tau_DP=tau,
-            tau_M=reduction_time(L, c),
+            tau_M=reduction_time(dec_L, c),
             L=L,
             log10_L=float(logs.log10(dec_L)),
             log2_L=float(logs.divide(logs.ln(dec_L), logs.ln(2))),

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bitstring import BitString, _gathered, _row_slices, concat, cyc, equivalent_mod_xi, iota, negate
+from .bitstring import BitString, _gathered, _row_slices, concat, cyc, iota, negate
 
 
 # Least rows per slice (see bitstring._row_slices) in which operators are
@@ -192,10 +192,9 @@ def _blocks_at(rows, L: int, block, columns, signs) -> tuple[np.ndarray, np.ndar
     else:  # off-diagonal
         index_map -= offset
         index_map += h
-    if signs != (1, 1):  # the skip pays: a multiply per row at every recursion step
-        factor = np.multiply(upper, signs[1] - signs[0], dtype=np.int8)
-        factor += signs[0]
-        out_signs *= factor
+    factor = np.multiply(upper, signs[1] - signs[0], dtype=np.int8)
+    factor += signs[0]
+    out_signs *= factor
     return index_map, out_signs
 
 
@@ -301,15 +300,15 @@ def verify_spin_identities(L: int) -> bool:
     """Cyclic shifts of block strings against Pauli actions on the equator string.
 
     The sigma_z and sigma_x identities hold bit-exactly in the canonical
-    frame.  The sigma_y identity holds up to the global relabelling freedom
-    (the two sides share one +1 multiset but differ pointwise), so it is
-    compared as such.
+    frame.  The sigma_y identity holds up to the global relabelling freedom,
+    which for one string keeps exactly its +1 count (the Born frequency), so
+    the two sides' +1 counts are compared.
     """
     _require_divisible(L, 4)
     equator = iota(L, L // 2)
     z_ok = cyc(iota(L, L), L // 2) == _applied(_pauli_z_at, equator)
     x_ok = cyc(equator, L // 2) == _applied(_pauli_x_at, equator)
-    y_ok = equivalent_mod_xi([cyc(equator, 3 * L // 4)], [_applied(_pauli_y_at, equator)])
+    y_ok = cyc(equator, 3 * L // 4).plus_count == _applied(_pauli_y_at, equator).plus_count
     return z_ok and x_ok and y_ok
 
 

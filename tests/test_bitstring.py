@@ -309,6 +309,27 @@ def test_equivalent_mod_xi_equivalence_relation(N, L, seed):
     assert equivalent_mod_xi(base, fam_c)  # transitive through fam_b
 
 
+_SIGNS = st.sampled_from([1, -1])
+
+
+@given(st.lists(_SIGNS, min_size=1, max_size=200), st.data())
+def test_equivalent_mod_xi_of_one_string_is_its_plus_count(vals, data):
+    # The premise of verify_spin_identities' sigma_y check: a relabelling of
+    # one string keeps exactly its +1 count, the Born frequency.
+    L = len(vals)
+    a = BitString(vals)
+    flipped = list(vals)
+    flipped[data.draw(st.integers(0, L - 1))] *= -1
+    others = [
+        apply_permutation(a, np.array(data.draw(st.permutations(range(L))))),
+        iota(L, a.plus_count),
+        BitString(flipped),
+        BitString(data.draw(st.lists(_SIGNS, min_size=L, max_size=L))),
+    ]
+    for b in others:
+        assert equivalent_mod_xi([a], [b]) == (a.plus_count == b.plus_count)
+
+
 def _family(rows: np.ndarray) -> list[BitString]:
     return [BitString(row) for row in rows]
 

@@ -380,6 +380,14 @@ def test_saturate_bad_range_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n", ["1..", "..2", "1...3", "a..b", "1.5", ""])
+def test_saturate_malformed_range_is_refused_by_the_parser(capsys, n):
+    code, out, err = run_cli(capsys, "saturate", "--L", "8", "--n", n, "--samples", "2")
+    assert (code, out) == (2, "")
+    assert _error_lines(err) == 1 and f"argument --n: must be N or LO..HI, got {n}" in err
+    assert "int()" not in err
+
+
 def test_niven(capsys):
     code, out, _ = run_cli(capsys, "niven", "--cos", "1/2")
     assert code == 0 and out.strip() == "admissible"

@@ -220,6 +220,7 @@ def test_reduction_after_refuses_a_time_of_another_type(t, constants):
 def test_scenario_report_consistency():
     report = scenario_report(ELECTRON)
     assert report.tau_M == reduction_time(report.L)
+    assert reduction_time(Decimal(report.L)) == report.tau_M  # the report passes its Decimal L
     # same product at the working precision, one ulp of the last digit
     naive = (Decimal(report.L) - 1) * DEFAULT_CONSTANTS.t_P  # context prec 28
     assert abs(report.tau_M - naive) / naive < Decimal("1e-27")

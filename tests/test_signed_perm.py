@@ -99,10 +99,7 @@ def test_pauli_involutions():
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 @pytest.mark.parametrize("L", [4, 8, 12, 16])
 def test_apply_matches_dense_oracle(name, L):
-    factory, divisor = GENERATORS[name]
-    if L % divisor:
-        pytest.skip(f"{name} needs {divisor} | L")
-    op = factory(L)
+    op = GENERATORS[name][0](L)
     batch = all_strings(L) if L <= 12 else random_strings(L, 4096, seed=L)
     expect = dense_apply(op, batch)
     for row, want in zip(batch, expect):
@@ -128,12 +125,13 @@ def test_compose_matches_dense_product():
 RULE_LENGTHS = [2, 4, 8, 12, 64, 2**12, 2**12 + 4, 3 * 2**12 + 8, 2**16 + 4]
 
 
-@pytest.mark.parametrize("name", sorted(GENERATORS))
-@pytest.mark.parametrize("L", RULE_LENGTHS)
+# Only the pairs whose divisor divides L, so no case is skipped by design.
+@pytest.mark.parametrize(
+    "L, name",
+    [(L, name) for L in RULE_LENGTHS for name, (_, d) in sorted(GENERATORS.items()) if L % d == 0],
+)
 def test_index_rule_matches_the_block_form(name, L):
-    factory, divisor = GENERATORS[name]
-    if L % divisor:
-        pytest.skip(f"{name} needs {divisor} | L")
+    factory = GENERATORS[name][0]
     want_map, want_signs = GENERATOR_PARTS[name](L)
     rule = getattr(signed_perm, f"_{name}_at")
     rows = np.arange(L, dtype=signed_perm._map_dtype(L))
@@ -426,9 +424,11 @@ def test_verify_quaternion_megabit_memory():
 @pytest.mark.parametrize("check", [verify_spin_identities, self_similar_split])
 def test_spin_checks_megabit_memory(check):
     # Strings of 2^20 bits, unpacked a byte per bit one or two at a time, and
-    # one slice of each rule's entries.
+    # one slice of each rule's entries.  The spin check compares +1 counts, so
+    # it sorts no L-byte column keys.
+    bound = {verify_spin_identities: 3, self_similar_split: 4}[check]
     peak = _traced_peak_mib(check, 1 << 20)
-    assert peak <= 4, f"{check.__name__}(2^20) peaked at {peak:.2f} MiB"
+    assert peak <= bound, f"{check.__name__}(2^20) peaked at {peak:.2f} MiB"
 
 
 def test_verify_spin_identities():
