@@ -16,9 +16,9 @@ One codec serves a single string and a level of a nested state, whose string
 concatenates one codeword per segment, each at least one bit long: ``encode``,
 ``decode`` and ``iota`` are its one-segment callers.  Encoding expands three runs per
 segment and packs them; decoding reads a level's sign changes off its packed
-bytes.  Every level is decoded slice by slice, and a level longer than 2^16
-bits is encoded so too, so no temporary holds a byte per bit of a whole
-string.  No other module reads or writes the packed bytes.
+bytes.  Every level is encoded and decoded slice by slice (one slice up to
+2^16 bits), so no temporary holds a byte per bit of a long string.  No other
+module reads or writes the packed bytes.
 """
 
 from __future__ import annotations
@@ -212,33 +212,29 @@ def _encode_levels(
     runs[:, 2] = lengths - runs[:, 0] - runs[:, 1]
     bits = np.array([[0, 1, 0], [1, 0, 1]], dtype=np.uint8).take(wrap, axis=0).ravel()
     runs = runs.ravel()
-    spans = [(bits[3 * lo : 3 * hi], runs[3 * lo : 3 * hi]) for lo, hi in zip(cuts, cuts[1:])]
-    if L <= _CODEC_SLICE:  # one repeat: _expanded's bookkeeping costs more on short levels
-        return [BitString._from_plus(np.repeat(b, r)) for b, r in spans]
-    return [_expanded(b, r, L) for b, r in spans]
-
-
-def _expanded(bits: np.ndarray, runs: np.ndarray, L: int) -> BitString:
-    # The L-bit string of the given runs, expanded and packed a slice at a
-    # time.  Slice [lo, hi) takes runs first .. last, from the first run that
-    # ends past lo to the first that ends at or past hi, cut to the slice.
-    # The runs are cut per slice, not split once with sort and diff, whose
-    # first use adds ~0.1 MB each to a CLI call's peak RSS.
-    slices = list(_row_slices(L, _CODEC_SLICE))
+    # String i is bits i*L .. (i + 1)*L - 1 of the family, and its slice
+    # [lo, hi) takes runs first .. last, from the first run that ends past
+    # i*L + lo to the first that ends at or past i*L + hi, cut to the slice in
+    # place: a later slice takes its first run from ends, and no slice reaches
+    # into another's runs.  (Splitting the runs once with sort and diff would
+    # add ~0.1 MB each to a CLI call's peak RSS on first use.)  The strings are
+    # allocated before the prefix sums, which pass 2^63 only for a family of
+    # 2^60 bytes, so such an L fails with a MemoryError, not a wrapped sum.
+    outs = [np.empty(-(-L // 8), dtype=np.uint8) for _ in cuts[1:]]
+    bounds = list(_row_slices(L, _CODEC_SLICE))
+    slices = [(out, i * L, lo, hi) for i, out in enumerate(outs) for lo, hi in bounds]
     ends = runs.cumsum()
-    firsts = ends.searchsorted([lo for lo, _ in slices], "right").tolist()
-    lasts = ends.searchsorted([hi for _, hi in slices]).tolist()
-    out = np.empty(-(-L // 8), dtype=np.uint8)
-    for (lo, hi), first, last in zip(slices, firsts, lasts):
+    firsts = ends.searchsorted([at + lo for _, at, lo, _ in slices], "right").tolist()
+    lasts = ends.searchsorted([at + hi for _, at, _, hi in slices]).tolist()
+    for (out, at, lo, hi), first, last in zip(slices, firsts, lasts):
         if first == last and hi % 8 == 0:  # inside one run: its bit in every byte
             out[lo // 8 : hi // 8] = 0xFF if bits[first] else 0
         else:
-            part = runs[first : last + 1].copy()
-            part[0] = ends[first] - lo
-            part[-1] -= ends[last] - hi
-            expanded = np.repeat(bits[first : last + 1], part)
+            runs[first] = ends[first] - (at + lo)
+            runs[last] -= ends[last] - (at + hi)
+            expanded = np.repeat(bits[first : last + 1], runs[first : last + 1])
             out[lo // 8 : -(-hi // 8)] = np.packbits(expanded)
-    return BitString._trusted(out, L)
+    return [BitString._trusted(out, L) for out in outs]
 
 
 def _decode_level(s: BitString, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -313,9 +309,9 @@ def _marks(changes: np.ndarray, count: int, at: np.ndarray) -> np.ndarray:
 
 
 _MAX_SLICES = 64
-# The codec's least slice: a level of up to 2^16 bits is one slice (and is
-# encoded whole), and a longer one at most 64 slices of at least 2^16 bits,
-# whose bookkeeping stays small next to their per-bit work.
+# The codec's least slice: a level of up to 2^16 bits is one slice, a longer
+# one at most 64 slices of at least 2^16 bits, whose bookkeeping stays small
+# next to their per-bit work.
 _CODEC_SLICE = 1 << 16
 
 

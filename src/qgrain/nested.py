@@ -11,8 +11,9 @@ level as for a single string, is ``bitstring``'s, and it sees the live
 (l > 0) segments only: absent branches are this module's.  Decoding runs
 level by level: the codec gives the m and n of a level's live segments, the
 absent ones keep m = n = 0, and the level's m give the next level's lengths.
-Encoding walks the levels only for that length recurrence and hands the live
-segments to the codec once per family, in heap order.  Dense amplitudes
+Encoding walks the levels only for that length recurrence, then quantises the
+phases of the live segments only and hands those to the codec once per
+family, in heap order; absent branches keep n = 0.  Dense amplitudes
 grow level by level, from the factors of the deepest level and of the levels
 above it in turn, never of the whole tree.  The saturation sweep draws,
 decodes and expands one sample at a time, once at the deepest N: a shallower
@@ -167,23 +168,26 @@ def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState
     if not (np.isfinite(tree.thetas[1:]).all() and np.isfinite(tree.phis[1:]).all()):
         raise ValueError("angles must be finite at nodes 1 .. 2^depth - 1")
     # Vector form of qubit._on_grid, fed as qubit.quantise feeds it.  Slot 0
-    # is no node, so the angle arithmetic starts at node 1.
-    weight = np.cos(tree.thetas[1:] / 2.0) ** 2
+    # is no node, so the weights start at node 1.
+    weight = tree.thetas[1:] / 2.0
+    np.square(np.cos(weight, out=weight), out=weight)
 
     def level_m(d: int, lengths: np.ndarray):
         m = np.ceil(lengths * weight[(1 << (d - 1)) - 1 : (1 << d) - 1] - 0.5).astype(np.int64)
         return np.minimum(m, lengths, out=m)  # float(l) may round up once l > 2^53
 
     m, lengths = _walk_levels(tree.depth, L, level_m)
-    # np.mod returns phases in [0, 2pi) unchanged, so only the others pay for it.
-    phis, l = tree.phis[1:], lengths[1:]
-    frac = np.mod(phis, TWO_PI, out=phis.copy(), where=(phis < 0) | (phis >= TWO_PI)) / TWO_PI
-    n = np.zeros_like(lengths)
-    np.mod(np.ceil(l * frac - 0.5).astype(np.int64), np.maximum(l, 1), out=n[1:])
-    n[(m == 0) | (m == lengths)] = 0  # degenerate or absent (m <= l)
     live = (lengths > 0).nonzero()[0]  # string d codes live[cuts[d - 1] : cuts[d]]
+    l, m_live, phis = lengths[live], m[live], tree.phis[live]
+    # np.mod returns phases in [0, 2pi) unchanged, so only the others pay for it.
+    np.mod(phis, TWO_PI, out=phis, where=(phis < 0) | (phis >= TWO_PI))
+    n_live = np.ceil(l * (phis / TWO_PI) - 0.5).astype(np.int64)
+    n_live %= l
+    n_live[(m_live == 0) | (m_live == l)] = 0  # degenerate
+    n = np.zeros_like(lengths)  # absent nodes keep n = 0
+    n[live] = n_live
     cuts = np.searchsorted(live, [1 << d for d in range(tree.depth + 1)])
-    strings = _encode_levels(L, lengths[live], m[live], n[live], cuts)
+    strings = _encode_levels(L, l, m_live, n_live, cuts)
     return strings, NestedState(tree.depth, L, m, n, lengths)
 
 

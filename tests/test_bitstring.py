@@ -163,7 +163,7 @@ def test_each_length_rule_has_one_owner():
         assert [(name, src.count(text)) for name, src in sources.items() if text in src] == [
             (owner, 1)
         ]
-    for retired in ("_check_granularity", "_EQ_CHUNK", "qubit count must be"):
+    for retired in ("_check_granularity", "_EQ_CHUNK", "qubit count must be", "_expanded"):
         assert [name for name, src in sources.items() if retired in src] == []
     assert "_row_slices(" in inspect.getsource(SignedPermutation.__eq__)
     # One grid-rounding rule: quantise and coarsen both hand it their inputs.

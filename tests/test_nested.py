@@ -162,6 +162,15 @@ def test_granularity_beyond_int64_is_refused(L):
         saturation_experiment(L, 1, 2, 1, 0)
 
 
+@pytest.mark.parametrize("depth", [1, 3, 5])
+def test_unallocatable_granularity_fails_with_memory_error(depth):
+    # At L = 2^62 the strings cannot be allocated; from depth 3 on the
+    # family's prefix sums (N*L bits) would also pass int64, and that must
+    # not surface as an OverflowError, a wrapped length or a value.
+    with pytest.raises(MemoryError):
+        encode_nested(random_angle_tree(depth, np.random.default_rng(0)), 2**62)
+
+
 @given(st.integers(1, 6), st.integers(1, 2**32 - 1))
 @settings(max_examples=40)
 def test_nested_round_trip(depth, seed):
@@ -454,7 +463,8 @@ def test_decode_level_matches_single_segment_codec(segs, data):
 # bits, or 2^16 * k + r bits in all, k >= 1, so the slices are 2^16 bits long
 # and the last one r bits when r > 0.  Segment bounds, block starts and block
 # ends are drawn either anywhere or within a few bits of a slice bound (of the
-# level's end when it is one slice).
+# level's end when it is one slice).  sliced_levels(total) draws a level of
+# the given length.
 SLICE = 1 << 16
 
 
@@ -462,13 +472,17 @@ def slice_bounds(total):
     return range(SLICE, total + 1, SLICE) or [total]
 
 
+def sliced_totals():
+    return st.tuples(st.integers(1, 3), st.sampled_from([0, 2, 4, 6])).map(
+        lambda kr: kr[0] * SLICE + kr[1]
+    )
+
+
 @st.composite
-def sliced_levels(draw):
-    if draw(st.booleans()):
-        total = draw(st.one_of(st.just(SLICE), st.integers(2, SLICE)))
-    else:
-        k, r = draw(st.integers(1, 3)), draw(st.sampled_from([0, 2, 4, 6]))
-        total = k * SLICE + r
+def sliced_levels(draw, total=None):
+    if total is None:
+        one_slice = st.one_of(st.just(SLICE), st.integers(2, SLICE))
+        total = draw(st.one_of(one_slice, sliced_totals()))
     near = st.sampled_from(slice_bounds(total)).flatmap(
         lambda b: st.integers(b - 9, b + 9)
     )
@@ -516,6 +530,22 @@ def test_sliced_level_codec_matches_single_segment_codec(level, data):
             np.array([1, -1], dtype=np.int8), total
         )
         assert_decode_matches_single_segment_codec(values, lengths)
+
+
+@given(sliced_totals().filter(lambda total: total > SLICE), st.data())
+@settings(max_examples=50, deadline=None)
+def test_family_of_sliced_levels_matches_one_call_per_level(L, data):
+    # One _encode_levels call for 2-4 levels of one L finds every slice's
+    # runs in the family's prefix sums; one call per level, in its own.
+    family = data.draw(st.lists(sliced_levels(L), min_size=2, max_size=4), label="family")
+    levels = [level_arrays(segs) for segs, _ in family]
+    live = [lengths > 0 for lengths, _, _ in levels]
+    cuts = np.cumsum([0] + [int(mask.sum()) for mask in live])
+    lengths, m, n = (
+        np.concatenate([arrays[j][mask] for arrays, mask in zip(levels, live)]) for j in range(3)
+    )
+    strings = _encode_levels(L, lengths, m, n, cuts)
+    assert strings == [level_codewords(*arrays) for arrays in levels]
 
 
 @pytest.mark.parametrize(
