@@ -80,7 +80,8 @@ class BitString:
     @property
     def values(self) -> np.ndarray:
         """The entries as a fresh read-only int8 array of +1 and -1."""
-        v = np.left_shift(self._plus(), 1, dtype=np.int8)
+        v = self._plus().view(np.int8)  # the one L-byte array, worked in place
+        v <<= 1
         v -= 1
         v.flags.writeable = False
         return v

@@ -12,13 +12,14 @@ requirements: 2|L for j, sigma_x, sigma_z and 4|L for i, k, i_little,
 sigma_y.
 
 Each generator has one definition, an index rule ``rule(rows, L) -> (map,
-signs)`` that gives its entries at any array of row indices.  ``make_*``
-evaluates the rule at every row.  The identity checks (``verify_quaternion``,
-``verify_spin_identities``, ``self_similar_split``) evaluate it one bounded
-slice of rows at a time, as ``apply`` reads an operator's arrays: at most 64
-slices, each a multiple of 8 rows and at least 2^12 rows.  So no check holds
-more than a slice of any operator, and an L too large for memory fails on
-the first slice.
+signs)`` that gives its entries at any array of row indices, and ``compose``
+has one for the product.  Every rule is evaluated one bounded slice of rows
+at a time, as ``apply`` reads an operator's arrays: at most 64 slices, each a
+multiple of 8 rows and at least 2^12 rows.  So ``make_*`` and ``compose``
+hold nothing beside the operator they fill but a slice of temporaries, no
+identity check (``verify_quaternion``, ``verify_spin_identities``,
+``self_similar_split``) holds more than a slice of any operator, and an L
+too large for memory fails on the first allocation.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .bitstring import BitString, _gathered, _row_slices, concat, cyc, iota, neg
 
 
 # Least rows per slice (see bitstring._row_slices) in which operators are
-# applied, compared and verified.
+# built, composed, applied, compared and verified.
 _MIN_SLICE = 1 << 12
 
 
@@ -132,10 +133,13 @@ def compose(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:
     """Operator product: apply(compose(a, b), s) == apply(a, apply(b, s))."""
     if len(a) != len(b):
         raise ValueError(f"operator lengths differ: {len(a)} != {len(b)}")
-    p = a.index_map
-    signs = b.signs[p]
-    signs *= a.signs
-    return SignedPermutation._trusted(b.index_map[p], signs)
+
+    def product_at(rows, L):
+        # Row r of a*b is b's entry at p = a.map[r], its sign times a.signs[r].
+        p = a.index_map.take(rows)
+        return b.index_map.take(p), b.signs.take(p) * a.signs.take(rows)
+
+    return _operator(product_at, len(a))
 
 
 def _require_divisible(L: int, d: int) -> None:
@@ -155,13 +159,16 @@ def _map_dtype(L: int) -> np.dtype:
 
 
 def _operator(rule, L: int, d: int = 1) -> SignedPermutation:
-    # The operator rule defines, evaluated at every row.  The signs' L bytes
-    # are claimed first: from L = 2^60 an int64 map passes numpy's size limit
-    # (a ValueError), while L < 2^63 bytes fail to allocate as the MemoryError
-    # every other huge L gives.
+    # The operator rule defines, filled a slice of rows at a time.  The signs'
+    # L bytes are allocated first: from L = 2^60 an int64 map passes numpy's
+    # size limit (a ValueError), while L < 2^63 bytes fail to allocate as the
+    # MemoryError every other huge L gives.
     _require_divisible(L, d)
-    np.empty(L, dtype=np.int8)
-    return SignedPermutation._trusted(*rule(np.arange(L, dtype=_map_dtype(L)), L))
+    signs = np.empty(L, dtype=np.int8)
+    index_map = np.empty(L, dtype=_map_dtype(L))
+    for lo, hi in _row_slices(L, _MIN_SLICE):
+        index_map[lo:hi], signs[lo:hi] = rule(_rows(lo, hi, L), L)
+    return SignedPermutation._trusted(index_map, signs)
 
 
 # Index rules: rule(rows, L) -> (map, signs) at an integer array of rows in

@@ -29,6 +29,7 @@ from qgrain.bitstring import (
     to_text,
 )
 import qgrain
+from qgrain import signed_perm
 from qgrain.nested import encode_nested, random_angle_tree
 from qgrain.qubit import DiscretisedQubit, coarsen, quantise
 from qgrain.signed_perm import SignedPermutation, apply
@@ -165,7 +166,10 @@ def test_each_length_rule_has_one_owner():
         ]
     for retired in ("_check_granularity", "_EQ_CHUNK", "qubit count must be", "_expanded"):
         assert [name for name, src in sources.items() if retired in src] == []
+    # Operators are built, composed and compared a slice of rows at a time.
     assert "_row_slices(" in inspect.getsource(SignedPermutation.__eq__)
+    assert "_row_slices(" in inspect.getsource(signed_perm._operator)
+    assert "_operator(" in inspect.getsource(signed_perm.compose)
     # One grid-rounding rule: quantise and coarsen both hand it their inputs.
     for caller in (quantise, coarsen):
         body = inspect.getsource(caller)
@@ -385,6 +389,20 @@ def test_equivalent_mod_xi_megabit_memory():
     assert peak <= 5, f"equivalent_mod_xi at N=1, L=2^20 peaked at {peak:.1f} MiB"
 
 
+def test_values_megabit_memory():
+    # One L-byte array, unpacked and turned into +-1 in place.
+    s = iota(1 << 20, 1 << 19)
+    s.values  # first-call allocations out of the way
+    tracemalloc.start()
+    try:
+        values = s.values
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert values.dtype == np.int8 and not values.flags.writeable
+    assert peak <= 1.25, f"values at L=2^20 peaked at {peak:.2f} MiB"
+
+
 def test_negate_and_concat():
     assert negate(bits(1, -1)) == bits(-1, 1)
     assert concat(bits(1), bits(-1, -1)) == bits(1, -1, -1)
@@ -414,7 +432,7 @@ def test_built_strings_are_fresh_read_only_and_canonical(vals, k, data):
         assert not b.values.flags.writeable
         assert not np.shares_memory(b.values, s.values)
         assert BitString(b.values) == b
-    assert all(f.values.flags.owndata for f in family)  # each level is its own array
+    assert all(f._bits.flags.owndata for f in family)  # each level owns its packed bytes
     assert perm.flags.writeable  # the caller's permutation is left alone
 
 

@@ -185,6 +185,34 @@ def test_built_operators_are_read_only_and_canonical(L):
         assert BitString(out.values) == out
 
 
+def _random_op(rng, L):
+    return SignedPermutation(rng.permutation(L), rng.choice(np.array([1, -1], np.int8), L))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_compose_across_slices(seed):
+    L = 3 * 2**12 + 8  # three full slices and a last one of 8 rows
+    assert len(list(bitstring._row_slices(L, signed_perm._MIN_SLICE))) == 4
+    assert compose(make_i(L), make_j(L)) == make_k(L)
+    rng = np.random.default_rng(seed)
+    a, b, c = (_random_op(rng, L) for _ in range(3))
+    ab = compose(a, b)
+    assert_canonical(ab)
+    assert np.array_equal(ab.index_map, b.index_map[a.index_map])
+    assert np.array_equal(ab.signs, a.signs * b.signs[a.index_map])
+    s = BitString(rng.choice(np.array([1, -1], np.int8), L))
+    assert apply(ab, s) == apply(a, apply(b, s))
+    assert compose(ab, c) == compose(a, compose(b, c))
+
+
+@pytest.mark.parametrize("build", [make_j, make_i, negation_op])
+def test_unallocatable_operator_fails_with_memory_error(build):
+    # The int8 signs are allocated first.  An int64 map of 2^60 entries is
+    # past numpy's size limit, which would raise ValueError instead.
+    with pytest.raises(MemoryError):
+        build(2**60)
+
+
 def test_equality_compares_every_chunk():
     # Lengths past two slices, differing only in the last entries.
     L = 2 * signed_perm._MIN_SLICE + 3
@@ -300,13 +328,7 @@ def test_compose_of_random_public_operators_is_canonical(L, data):
 @given(st.integers(2, 64), st.data())
 def test_compose_is_associative(L, data):
     seeds = data.draw(st.tuples(*[st.integers(0, 2**31)] * 3))
-    ops = []
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        ops.append(
-            SignedPermutation(rng.permutation(L), rng.choice(np.array([1, -1], np.int8), L))
-        )
-    a, b, c = ops
+    a, b, c = (_random_op(np.random.default_rng(seed), L) for seed in seeds)
     assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
 
@@ -421,6 +443,15 @@ def test_verify_quaternion_megabit_memory():
     assert peak <= 1, f"verify_quaternion(2^20) peaked at {peak:.2f} MiB"
 
 
+def test_built_operator_megabit_memory():
+    # 5 bytes per entry for the operator and a slice of temporaries beside it.
+    L = 1 << 20
+    i, j = make_i(L), make_j(L)
+    for name, build in (("make_i", make_i), ("compose", lambda L: compose(i, j))):
+        peak = _traced_peak_mib(lambda L: len(build(L)) == L, L)
+        assert peak <= 6, f"{name} at L=2^20 peaked at {peak:.2f} MiB"
+
+
 @pytest.mark.parametrize("check", [verify_spin_identities, self_similar_split])
 def test_spin_checks_megabit_memory(check):
     # Strings of 2^20 bits, unpacked a byte per bit one or two at a time, and
@@ -460,6 +491,9 @@ def test_validation_errors():
         apply(make_j(4), BitString([1, -1]))
     with pytest.raises(ValueError):
         compose(make_j(4), make_j(8))
+    empty = SignedPermutation([], [])  # a product has L >= 1, as every builder's
+    with pytest.raises(ValueError, match=r"^operator needs L a positive multiple of 1, got L=0$"):
+        compose(empty, empty)
     with pytest.raises(ValueError):
         make_j(3)
     with pytest.raises(ValueError):
