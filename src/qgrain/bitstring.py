@@ -18,7 +18,9 @@ concatenates one codeword per segment, each at least one bit long: ``encode``,
 segment and packs them; decoding reads a level's sign changes off its packed
 bytes.  Every level is encoded and decoded slice by slice (one slice up to
 2^16 bits), so no temporary holds a byte per bit of a long string.  No other
-module reads or writes the packed bytes.
+module reads or writes the packed bytes.  The whole slicing policy lives
+here: ``_row_slices`` and the least slices, 2^16 bits for the codec and 2^12
+rows for ``signed_perm``'s operators, whose action ``_gathered`` applies.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def iota(L: int, m: int) -> BitString:
         raise ValueError(f"m must lie in [0, L={L}], got {m}")
     # The one-segment codeword's +1 block starts at -(L//2 + n) mod L: this n puts it at 0.
     n = (L - L // 2) % L
-    return _encode_levels(L, np.array([L]), np.array([m]), np.array([n]), [0, 1])[0]
+    return _encode_levels(L, np.array([L]), np.array([m]), np.array([n]), 1)[0]
 
 
 def cyc(s: BitString, k: int) -> BitString:
@@ -159,7 +161,7 @@ def encode(q: DiscretisedQubit) -> BitString:
     bit-string form.
     """
     _require_codec_length(q.L)
-    return _encode_levels(q.L, np.array([q.L]), np.array([q.m]), np.array([q.n]), [0, 1])[0]
+    return _encode_levels(q.L, np.array([q.L]), np.array([q.m]), np.array([q.n]), 1)[0]
 
 
 class Decoded(NamedTuple):
@@ -195,10 +197,10 @@ def _require_codec_length(L: int) -> None:
 
 
 def _encode_levels(
-    L: int, lengths: np.ndarray, m: np.ndarray, n: np.ndarray, cuts
+    L: int, lengths: np.ndarray, m: np.ndarray, n: np.ndarray, strings: int
 ) -> list[BitString]:
-    # L-bit strings of concatenated codewords cyc(iota(l, m), l//2 + n) of
-    # live (l > 0) segments: string i holds segments cuts[i] .. cuts[i + 1] - 1.
+    # ``strings`` L-bit strings of concatenated codewords cyc(iota(l, m), l//2 + n)
+    # of live (l > 0) segments in order, each string's segments tiling its L bits.
     # Three runs per segment, bit 1 for +1, in one table for all strings.
     # The +1 block starts at a = -(l//2 + n) mod l and wraps past the segment
     # end iff a + m > l.  No wrap: -1 x a, +1 x m, -1 x (l - a - m); wrap:
@@ -221,7 +223,7 @@ def _encode_levels(
     # add ~0.1 MB each to a CLI call's peak RSS on first use.)  The strings are
     # allocated before the prefix sums, which pass 2^63 only for a family of
     # 2^60 bytes, so such an L fails with a MemoryError, not a wrapped sum.
-    outs = [np.empty(-(-L // 8), dtype=np.uint8) for _ in cuts[1:]]
+    outs = [np.empty(-(-L // 8), dtype=np.uint8) for _ in range(strings)]
     bounds = list(_row_slices(L, _CODEC_SLICE))
     slices = [(out, i * L, lo, hi) for i, out in enumerate(outs) for lo, hi in bounds]
     ends = runs.cumsum()
@@ -314,6 +316,9 @@ _MAX_SLICES = 64
 # one at most 64 slices of at least 2^16 bits, whose bookkeeping stays small
 # next to their per-bit work.
 _CODEC_SLICE = 1 << 16
+# The least slice of rows in which signed_perm builds, composes, applies,
+# compares and verifies operators, and _gathered applies them.
+_MIN_SLICE = 1 << 12
 
 
 def _row_slices(n: int, least: int):
@@ -327,14 +332,14 @@ def _row_slices(n: int, least: int):
     return ((lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
-def _gathered(s: BitString, slices, entries) -> BitString:
-    # out[r] = signs[r] * s[map[r]], a slice at a time.  slices are (lo, hi)
-    # bounds from _row_slices, so each lo is a multiple of 8 and a slice's
-    # bits fill output bytes [lo/8, hi/8); entries(lo, hi) gives the slice's
-    # map and signs.  take() casts only the slice's indices to intp.
+def _gathered(s: BitString, entries) -> BitString:
+    # out[r] = signs[r] * s[map[r]], a slice of _MIN_SLICE or more rows at a
+    # time.  Each slice's lo is a multiple of 8, so its bits fill output bytes
+    # [lo/8, hi/8); entries(lo, hi) gives the slice's map and signs.  take()
+    # casts only the slice's indices to intp.
     plus = s._plus()
     out = np.empty(-(-len(s) // 8), dtype=np.uint8)
-    for lo, hi in slices:
+    for lo, hi in _row_slices(len(s), _MIN_SLICE):
         index_map, signs = entries(lo, hi)
         bits = plus.take(index_map)
         bits ^= signs < 0  # a -1 sign turns +1 into -1 and back

@@ -1,17 +1,18 @@
 """Command-line front end.
 
 Subcommands: capacity, encode, decode, pauli-verify, saturate, niven,
-uncertainty, reduce.  Each ``cmd_*(args, cfg)`` returns ``(ok, doc,
-text_lines)`` and prints nothing to stdout; ``main`` is its only writer, and
-``saturate --timings`` writes per-phase wall times to stderr.  Each
-subcommand takes ``--format``, ``--seed`` and the flags it reads; the parser,
-not ``main``, exits 2 on any other flag and on ``--format csv`` outside
-saturate.  ``main`` builds the RunConfig and prints ``doc`` after the
-schema_version and command fields it alone writes (--format json), or the
-text lines (text, or csv for saturate).  Output is a pure function of the
-arguments and, for capacity, of the constants file that ``--constants`` or
-else ``QGRAIN_CONSTANTS`` names.  Exit codes: 0 success, 1 verified-property
-failure (``ok`` false), 2 usage or precondition error.
+uncertainty, reduce.  Each ``cmd_*(args)`` returns ``(ok, doc, text_lines)``
+and prints nothing to stdout; ``main`` is its only writer, and ``saturate
+--timings`` writes per-phase wall times to stderr.  Each subcommand takes
+``--format``, ``--seed`` and the flags it reads; the parser, not ``main``,
+exits 2 on any other flag and on ``--format csv`` outside saturate.  Only
+saturate and uncertainty read ``args.seed``.  ``main`` reads the format off
+its RunConfig and prints ``doc`` after the schema_version and command fields
+it alone writes (--format json), or the text lines (text, or csv for
+saturate).  Output is a pure function of the arguments and, for capacity, of
+the constants file that ``--constants`` or else ``QGRAIN_CONSTANTS`` names.
+Exit codes: 0 success, 1 verified-property failure (``ok`` false), 2 usage or
+precondition error.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ SCHEMA_VERSION = 1
 @dataclass(frozen=True)
 class RunConfig:
     fmt: str
-    seed: int
 
 
 Result = tuple[bool, dict, list[str]]
@@ -48,7 +48,7 @@ def _decimal(text: str, what: str) -> Decimal:
         raise ValueError(f"{what} must be a decimal number, got {text!r}")
 
 
-def cmd_capacity(args: argparse.Namespace, cfg: RunConfig) -> Result:
+def cmd_capacity(args: argparse.Namespace) -> Result:
     constants = gravity.constants_from_env(args.precision, args.constants)
     scenario = gravity.Scenario(
         M=_decimal(args.mass, "--mass"),
@@ -77,13 +77,13 @@ def cmd_capacity(args: argparse.Namespace, cfg: RunConfig) -> Result:
     return True, doc, text
 
 
-def cmd_encode(args: argparse.Namespace, cfg: RunConfig) -> Result:
+def cmd_encode(args: argparse.Namespace) -> Result:
     q = DiscretisedQubit(args.m, args.n, args.L)
     doc = {**asdict(q), "bits": bitstring.to_text(bitstring.encode(q))}
     return True, doc, [doc["bits"]]
 
 
-def cmd_decode(args: argparse.Namespace, cfg: RunConfig) -> Result:
+def cmd_decode(args: argparse.Namespace) -> Result:
     decoded = bitstring.decode(bitstring.from_text(args.bits))
     q = decoded.qubit
     doc = {**asdict(q), "degenerate": decoded.degenerate}
@@ -93,7 +93,7 @@ def cmd_decode(args: argparse.Namespace, cfg: RunConfig) -> Result:
     return True, doc, [text]
 
 
-def cmd_pauli_verify(args: argparse.Namespace, cfg: RunConfig) -> Result:
+def cmd_pauli_verify(args: argparse.Namespace) -> Result:
     L = args.L
     quaternion = signed_perm.verify_quaternion(L)
     spin = signed_perm.verify_spin_identities(L)
@@ -111,11 +111,11 @@ def cmd_pauli_verify(args: argparse.Namespace, cfg: RunConfig) -> Result:
     return all_pass, doc, text
 
 
-def cmd_saturate(args: argparse.Namespace, cfg: RunConfig) -> Result:
+def cmd_saturate(args: argparse.Namespace) -> Result:
     n_lo, n_hi = args.n
     timings = {} if args.timings else None
     rows = nested.saturation_experiment(
-        args.L, n_lo, n_hi, args.samples, cfg.seed, timings=timings
+        args.L, n_lo, n_hi, args.samples, args.seed, timings=timings
     )
     if timings is not None:
         for phase in nested.SATURATION_PHASES:
@@ -123,14 +123,14 @@ def cmd_saturate(args: argparse.Namespace, cfg: RunConfig) -> Result:
     doc = {
         "L": args.L,
         "samples": args.samples,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "rows": [row._asdict() for row in rows],
     }
     csv = [",".join(nested.SaturationRow._fields)] + [",".join(map(repr, row)) for row in rows]
     return True, doc, csv
 
 
-def cmd_niven(args: argparse.Namespace, cfg: RunConfig) -> Result:
+def cmd_niven(args: argparse.Namespace) -> Result:
     try:
         c = Fraction(args.cos)
     except (ValueError, ZeroDivisionError):
@@ -140,10 +140,10 @@ def cmd_niven(args: argparse.Namespace, cfg: RunConfig) -> Result:
     return True, doc, ["admissible" if admissible else "not admissible"]
 
 
-def cmd_uncertainty(args: argparse.Namespace, cfg: RunConfig) -> Result:
+def cmd_uncertainty(args: argparse.Namespace) -> Result:
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     # Drawn and checked 4,096 samples at a time: normal() gives the same
     # stream however the draws are split, and Direction refuses a NaN, so the
     # count and the minimum do not depend on the slicing.
@@ -157,7 +157,7 @@ def cmd_uncertainty(args: argparse.Namespace, cfg: RunConfig) -> Result:
     all_ok = satisfied == args.samples
     doc = {
         "samples": args.samples,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "satisfied": satisfied,
         "all_ok": all_ok,
         "min_margin": worst,
@@ -165,7 +165,7 @@ def cmd_uncertainty(args: argparse.Namespace, cfg: RunConfig) -> Result:
     return all_ok, doc, [f"{satisfied}/{args.samples} satisfied"]
 
 
-def cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> Result:
+def cmd_reduce(args: argparse.Namespace) -> Result:
     q = coarsen(DiscretisedQubit(args.m, args.n, args.L), args.to)
     doc = asdict(q)
     return True, doc, [f"m={q.m} n={q.n} L={q.L}"]
@@ -274,8 +274,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = RunConfig(args.format, args.seed)
-        ok, doc, text_lines = args.func(args, cfg)
+        cfg = RunConfig(args.format)
+        ok, doc, text_lines = args.func(args)
         if cfg.fmt == "json":
             print(json.dumps({"schema_version": SCHEMA_VERSION, "command": args.command, **doc}))
         else:

@@ -262,19 +262,18 @@ class CapacityReport:
 
 def scenario_report(s: Scenario, c: PhysicalConstants = DEFAULT_CONSTANTS) -> CapacityReport:
     """Evaluate R, beta, E_G, tau_DP, L, tau_M and the capacity bound for a scenario."""
-    with localcontext(_context(c.precision)):
-        R, beta, E_G = _effective_e_g(s, c)
-        tau = dp_time(E_G, c)
-        L = l_of_scenario(s, c)
-        dec_L, logs = Decimal(L), _context(_MIN_PRECISION)
-        return CapacityReport(
-            R=R,
-            beta=beta,
-            E_G=E_G,
-            tau_DP=tau,
-            tau_M=reduction_time(dec_L, c),
-            L=L,
-            log10_L=float(logs.log10(dec_L)),
-            log2_L=float(logs.divide(logs.ln(dec_L), logs.ln(2))),
-            n_max=n_max(L),
-        )
+    R, beta, E_G = _effective_e_g(s, c)
+    tau = dp_time(E_G, c)
+    L = l_of_scenario(s, c)
+    dec_L, logs = Decimal(L), _context(_MIN_PRECISION)
+    return CapacityReport(
+        R=R,
+        beta=beta,
+        E_G=E_G,
+        tau_DP=tau,
+        tau_M=reduction_time(dec_L, c),
+        L=L,
+        log10_L=float(logs.log10(dec_L)),
+        log2_L=float(logs.divide(logs.ln(dec_L), logs.ln(2))),
+        n_max=n_max(L),
+    )

@@ -142,6 +142,18 @@ class NestedState:
     def level_slice(self, d: int) -> slice:
         return slice(1 << (d - 1), 1 << d)
 
+    def live_lengths(self, d: int) -> np.ndarray:
+        """Lengths of the live (l > 0) segments at depth d, in heap order.
+
+        The view of a level that does not depend on the heap layout: its
+        entries sum to L, and the level's other 2^(d-1) - size segments are
+        absent.
+        """
+        if not 1 <= d <= self.depth:
+            raise ValueError(f"level d must lie in 1..{self.depth}, got {d}")
+        level = self.lengths[self.level_slice(d)]
+        return level[level > 0]
+
 
 def _walk_levels(depth: int, L: int, level_m):
     # Heap arrays m and lengths, root down, by l_2k = m_k, l_2k+1 = l_k - m_k.
@@ -177,7 +189,7 @@ def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState
         return np.minimum(m, lengths, out=m)  # float(l) may round up once l > 2^53
 
     m, lengths = _walk_levels(tree.depth, L, level_m)
-    live = (lengths > 0).nonzero()[0]  # string d codes live[cuts[d - 1] : cuts[d]]
+    live = (lengths > 0).nonzero()[0]
     l, m_live, phis = lengths[live], m[live], tree.phis[live]
     # np.mod returns phases in [0, 2pi) unchanged, so only the others pay for it.
     np.mod(phis, TWO_PI, out=phis, where=(phis < 0) | (phis >= TWO_PI))
@@ -186,8 +198,7 @@ def encode_nested(tree: AngleTree, L: int) -> tuple[list[BitString], NestedState
     n_live[(m_live == 0) | (m_live == l)] = 0  # degenerate
     n = np.zeros_like(lengths)  # absent nodes keep n = 0
     n[live] = n_live
-    cuts = np.searchsorted(live, [1 << d for d in range(tree.depth + 1)])
-    strings = _encode_levels(L, l, m_live, n_live, cuts)
+    strings = _encode_levels(L, l, m_live, n_live, tree.depth)
     return strings, NestedState(tree.depth, L, m, n, lengths)
 
 

@@ -15,23 +15,19 @@ Each generator has one definition, an index rule ``rule(rows, L) -> (map,
 signs)`` that gives its entries at any array of row indices, and ``compose``
 has one for the product.  Every rule is evaluated one bounded slice of rows
 at a time, as ``apply`` reads an operator's arrays: at most 64 slices, each a
-multiple of 8 rows and at least 2^12 rows.  So ``make_*`` and ``compose``
-hold nothing beside the operator they fill but a slice of temporaries, no
-identity check (``verify_quaternion``, ``verify_spin_identities``,
-``self_similar_split``) holds more than a slice of any operator, and an L
-too large for memory fails on the first allocation.
+multiple of 8 rows and at least 2^12 rows, by the slicing policy that
+``bitstring`` holds.  So ``make_*`` and ``compose`` hold nothing beside the
+operator they fill but a slice of temporaries, no identity check
+(``verify_quaternion``, ``verify_spin_identities``, ``self_similar_split``)
+holds more than a slice of any operator, and an L too large for memory fails
+on the first allocation.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bitstring import BitString, _gathered, _row_slices, concat, cyc, iota, negate
-
-
-# Least rows per slice (see bitstring._row_slices) in which operators are
-# built, composed, applied, compared and verified.
-_MIN_SLICE = 1 << 12
+from .bitstring import _MIN_SLICE, BitString, _gathered, _row_slices, concat, cyc, iota, negate
 
 
 class SignedPermutation:
@@ -51,6 +47,7 @@ class SignedPermutation:
         signs = np.asarray(signs)
         if index_map.shape != signs.shape or index_map.ndim != 1:
             raise ValueError("map and signs must be 1-D of equal length")
+        _require_divisible(index_map.size, 1)  # L >= 1, as every builder's
         if not np.array_equal(np.sort(index_map), np.arange(index_map.size)):
             raise ValueError("map must be a bijection on 0..L-1")
         if not np.all((signs == 1) | (signs == -1)):
@@ -115,8 +112,7 @@ def apply(a: SignedPermutation, s: BitString) -> BitString:
     """Operator action, equal to the dense matrix-vector product."""
     if len(a) != len(s):
         raise ValueError(f"operator length {len(a)} != string length {len(s)}")
-    slices = _row_slices(len(s), _MIN_SLICE)
-    return _gathered(s, slices, lambda lo, hi: (a.index_map[lo:hi], a.signs[lo:hi]))
+    return _gathered(s, lambda lo, hi: (a.index_map[lo:hi], a.signs[lo:hi]))
 
 
 def _rows(lo: int, hi: int, L: int) -> np.ndarray:
@@ -126,7 +122,7 @@ def _rows(lo: int, hi: int, L: int) -> np.ndarray:
 def _applied(rule, s: BitString) -> BitString:
     """apply(op, s) for the operator of length len(s) that rule defines."""
     L = len(s)
-    return _gathered(s, _row_slices(L, _MIN_SLICE), lambda lo, hi: rule(_rows(lo, hi, L), L))
+    return _gathered(s, lambda lo, hi: rule(_rows(lo, hi, L), L))
 
 
 def compose(a: SignedPermutation, b: SignedPermutation) -> SignedPermutation:

@@ -29,7 +29,7 @@ from qgrain.bitstring import (
     to_text,
 )
 import qgrain
-from qgrain import signed_perm
+from qgrain import bitstring, cli, gravity, nested, signed_perm
 from qgrain.nested import encode_nested, random_angle_tree
 from qgrain.qubit import DiscretisedQubit, coarsen, quantise
 from qgrain.signed_perm import SignedPermutation, apply
@@ -177,6 +177,17 @@ def test_each_length_rule_has_one_owner():
         assert "round_half_down(" not in body and "_require_granularity(" not in body
     writer = inspect.getsource(iota)
     assert "_encode_levels(" in writer and not re.search(r"_trusted|packbits|0xFF|np\.zeros", writer)
+    # Internal interfaces take only what they read: bitstring owns the slicing
+    # policy, _gathered slices its own rows, the codec takes a string count,
+    # the commands take args alone and each Decimal step sets its own context.
+    assert [name for name, src in sources.items() if "_MIN_SLICE =" in src] == ["bitstring.py"]
+    assert list(inspect.signature(bitstring._gathered).parameters) == ["s", "entries"]
+    assert list(inspect.signature(bitstring._encode_levels).parameters)[-1] == "strings"
+    assert "searchsorted" not in inspect.getsource(nested.encode_nested)
+    commands = [f for name, f in vars(cli).items() if name.startswith("cmd_")]
+    assert len(commands) == 8
+    assert [f.__name__ for f in commands if "cfg" in inspect.signature(f).parameters] == []
+    assert "localcontext" not in inspect.getsource(gravity.scenario_report)
 
 
 @pytest.mark.parametrize("L", [2**16 - 1, 2**16 + 1, 2**16 + 8, 3 * 2**16 + 5])

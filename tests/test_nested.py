@@ -180,6 +180,29 @@ def test_nested_round_trip(depth, seed):
     assert decode_nested(strings) == state
 
 
+@given(st.integers(1, 10), st.integers(1, 1 << 11), st.integers(0, 2**32 - 1), st.floats(0, 1))
+@settings(max_examples=60, deadline=None)
+def test_live_lengths_is_the_live_part_of_each_heap_level(depth, half_L, seed, cut_share):
+    # A share of the nodes has theta in {0, pi}, which cuts off a subtree.
+    L = 2 * half_L
+    rng = np.random.default_rng(seed)
+    tree = random_angle_tree(depth, rng)
+    cut = rng.random(tree.thetas.size) < cut_share
+    thetas = np.where(cut, math.pi * rng.integers(0, 2, tree.thetas.size), tree.thetas)
+    state = decode_nested(encode_nested(AngleTree(depth, thetas, tree.phis), L)[0])
+    for d in range(1, depth + 1):
+        level = state.lengths[state.level_slice(d)]
+        live = state.live_lengths(d)
+        assert np.array_equal(live, level[level > 0])
+        assert int(live.sum()) == L
+        # The absent and classical counts as the benchmark's tracer reads them.
+        assert (1 << (d - 1)) - live.size == int((level == 0).sum())
+        assert int((live == 1).sum()) == int((level == 1).sum())
+    for d in (0, depth + 1):
+        with pytest.raises(ValueError, match=rf"^level d must lie in 1\.\.{depth}, got {d}$"):
+            state.live_lengths(d)
+
+
 def test_nested_round_trip_degenerate_root():
     # theta = 0 forces m = L at the root: right branch empty, left all-ones
     tree = tree_from(2, [(0.0, 1.0), (math.pi / 2, 0.5), (1.0, 1.0)])
@@ -379,8 +402,7 @@ def level_codewords(lengths, m, n):
     # _encode_levels on one level whose segments include absent ones: the one
     # string of its live segments' codewords.
     live = lengths > 0
-    cuts = [0, int(live.sum())]
-    return _encode_levels(int(lengths.sum()), lengths[live], m[live], n[live], cuts)[0]
+    return _encode_levels(int(lengths.sum()), lengths[live], m[live], n[live], 1)[0]
 
 
 def assert_decode_matches_single_segment_codec(values, lengths):
@@ -540,11 +562,10 @@ def test_family_of_sliced_levels_matches_one_call_per_level(L, data):
     family = data.draw(st.lists(sliced_levels(L), min_size=2, max_size=4), label="family")
     levels = [level_arrays(segs) for segs, _ in family]
     live = [lengths > 0 for lengths, _, _ in levels]
-    cuts = np.cumsum([0] + [int(mask.sum()) for mask in live])
     lengths, m, n = (
         np.concatenate([arrays[j][mask] for arrays, mask in zip(levels, live)]) for j in range(3)
     )
-    strings = _encode_levels(L, lengths, m, n, cuts)
+    strings = _encode_levels(L, lengths, m, n, len(levels))
     assert strings == [level_codewords(*arrays) for arrays in levels]
 
 

@@ -491,8 +491,11 @@ def test_validation_errors():
         apply(make_j(4), BitString([1, -1]))
     with pytest.raises(ValueError):
         compose(make_j(4), make_j(8))
-    empty = SignedPermutation([], [])  # a product has L >= 1, as every builder's
-    with pytest.raises(ValueError, match=r"^operator needs L a positive multiple of 1, got L=0$"):
+    refusal = r"^operator needs L a positive multiple of 1, got L=0$"
+    with pytest.raises(ValueError, match=refusal):  # L >= 1, as every builder's
+        SignedPermutation([], [])
+    empty = SignedPermutation._trusted(np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int8))
+    with pytest.raises(ValueError, match=refusal):
         compose(empty, empty)
     with pytest.raises(ValueError):
         make_j(3)
